@@ -1,7 +1,7 @@
-// Ablation: extent merging in block mode. When sampled offsets are
-// contiguous (fanout close to degree — every neighbor of a node sits
-// adjacent on disk), runs of adjacent 512 B blocks can be read as one
-// larger request. Sweeps the extent cap under O_DIRECT and reports read
+// Ablation: extent merging of the pipeline's block reads. When sampled
+// offsets are contiguous (fanout close to degree — every neighbor of a
+// node sits adjacent on disk), runs of adjacent 512 B blocks can be read
+// as one larger request. Sweeps the extent cap under O_DIRECT and reports read
 // ops and time.
 #include "bench_common.h"
 #include "core/ring_sampler.h"
@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     config.num_threads = static_cast<std::uint32_t>(env.threads);
     config.queue_depth = static_cast<std::uint32_t>(env.queue_depth);
     config.seed = env.seed;
-    config.direct_io = true;       // block mode, page cache bypassed
+    config.direct_io = true;       // page cache bypassed
     config.enable_block_cache = false;
     // The engine forwards its queue depth as the pipeline group size;
     // the extent cap rides on the pipeline options via this knob.

@@ -83,23 +83,15 @@ int main(int argc, char** argv) {
   }
 
   // Budget floor: what one sampler needs before any cache spend. The
-  // reorganized graph carries the physical-layout array and an enabled
-  // cache switches the pipelines to block-granular scratch, so probe
-  // both layouts in both read modes and take the max.
-  std::uint64_t floor_exact = 0;
-  std::uint64_t floor_block = 0;
+  // reorganized graph carries the physical-layout array, so probe both
+  // layouts and take the max.
+  std::uint64_t floor_bytes = 0;
   for (const std::string& graph : {base, hot_base}) {
-    for (const bool block_mode : {false, true}) {
-      MemoryBudget probe = MemoryBudget::unlimited();
-      core::SamplerConfig config = make_config();
-      config.coalesce_blocks = block_mode;
-      auto sampler = core::RingSampler::open(graph, config, &probe);
-      RS_CHECK_MSG(sampler.is_ok(), sampler.status().to_string());
-      auto& floor = block_mode ? floor_block : floor_exact;
-      floor = std::max(floor, probe.used());
-    }
+    MemoryBudget probe = MemoryBudget::unlimited();
+    auto sampler = core::RingSampler::open(graph, make_config(), &probe);
+    RS_CHECK_MSG(sampler.is_ok(), sampler.status().to_string());
+    floor_bytes = std::max(floor_bytes, probe.used());
   }
-  const std::uint64_t floor_bytes = std::max(floor_exact, floor_block);
 
   auto meta = graph::read_meta(base);
   RS_CHECK_MSG(meta.is_ok(), meta.status().to_string());

@@ -1,5 +1,6 @@
 // Ablation for the core §3.1 claim: index-based (offset) sampling reads
-// only the sampled entries, while conventional out-of-core samplers load
+// only the blocks holding sampled entries (at most one 512 B block per
+// sampled edge), while conventional out-of-core samplers load
 // each target's *entire* neighbor list before sampling in memory. We run
 // both against the same on-disk graph and report measured time and I/O
 // volume. On skewed graphs the gap grows with hub degree.

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     const std::uint64_t per_thread =
         config.max_width() * sizeof(NodeId) +
         (config.max_layer_width(1) + 1) * 2 * sizeof(NodeId) +
-        2ULL * env.queue_depth * 570;  // pipeline scratch, block mode
+        2ULL * env.queue_depth * 570;  // pipeline scratch + staging
     auto meta = graph::read_meta(base);
     RS_CHECK_MSG(meta.is_ok(), meta.status().to_string());
     return (meta.value().num_nodes + 1) * sizeof(EdgeIdx) +

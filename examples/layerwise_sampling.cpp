@@ -65,8 +65,8 @@ int main() {
     std::printf("%-8zu | %-28s | %-28s\n", l, nw_cell, lw_cell);
   }
   std::printf(
-      "\nBoth samplers read only the sampled 4-byte entries from the "
-      "on-disk edge file;\nlayer-wise additionally bounds every layer's "
+      "\nBoth samplers read only the blocks holding sampled entries from "
+      "the on-disk edge file;\nlayer-wise additionally bounds every layer's "
       "width, trading uniform per-node\nfanout for importance-weighted "
       "layer selection (FastGCN-style).\n");
   return 0;

@@ -18,7 +18,6 @@ std::string SamplerConfig::describe() const {
       << (parallelism == ParallelismMode::kBatchParallel ? " batch-par"
                                                          : " intra-batch")
       << (direct_io ? " O_DIRECT" : "")
-      << (coalesce_blocks ? " coalesce" : "")
       << (register_file ? " fixed-file" : "");
   if (hot_cache_bytes > 0) out << " hot-cache=" << hot_cache_bytes << "B";
   if (cache_pin_fraction > 0) out << " pin-frac=" << cache_pin_fraction;

@@ -43,8 +43,8 @@ struct SamplerConfig {
   // skips the kernel's per-op page pinning. kAuto (default) uses the
   // fixed path when the kernel supports it and degrades silently; kOn
   // warns on degradation; kOff never registers. The arena is sized to
-  // the workspace value buffer plus both pipeline block buffers and is
-  // charged to the memory budget in place of those allocations.
+  // the pipeline's two staging buffers and is charged to the memory
+  // budget in place of those allocations.
   io::FixedBufferMode register_buffers = io::FixedBufferMode::kAuto;
 
   // Fig. 3b: overlap I/O preparation with completion collection. When
@@ -56,19 +56,15 @@ struct SamplerConfig {
 
   // O_DIRECT edge-file access: bypasses the page cache (used under
   // memory budgets so the cgroup-equivalent constraint is honest).
-  // Direct reads are per aligned block rather than per 4-byte entry.
   bool direct_io = false;
 
-  // Coalesce same-block offsets within an I/O group into one read.
-  // Implied by direct_io; optional for buffered mode (ablation).
-  bool coalesce_blocks = false;
-
-  // Block size for direct/coalesced reads. 512 is the device's logical
-  // block size; must be a power of two.
+  // Read granularity: every read covers whole aligned blocks holding
+  // sampled entries, coalesced per I/O group. 512 is the device's
+  // logical block size; must be a power of two.
   std::uint32_t block_bytes = 512;
 
-  // Block mode: merge runs of adjacent blocks into single reads, up to
-  // this many blocks per request (1 = one read per distinct block).
+  // Merge runs of adjacent blocks into single reads, up to this many
+  // blocks per request (1 = one read per distinct block).
   std::uint32_t max_extent_blocks = 8;
 
   // When a memory budget is attached and leftover budget remains after

@@ -12,8 +12,9 @@
 //
 // The disk story is identical to RingSampler's: the plan is a set of
 // edge-file *offsets* — k distinct positions drawn from the concatenated
-// index ranges of the current targets — and only those 4-byte entries
-// are fetched, through the same per-thread ring + async pipeline. Memory
+// index ranges of the current targets — and only the blocks holding
+// those entries are read, through the same per-thread ring + async
+// pipeline. Memory
 // stays O(batch state), independent of |E|.
 #pragma once
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 
 #include "io/fixed_buffer_pool.h"
@@ -17,45 +18,46 @@ Result<std::unique_ptr<ReadPipeline>> ReadPipeline::create(
     io::IoBackend& backend, BlockCache* cache,
     const PipelineOptions& options, MemoryBudget& budget) {
   RS_CHECK(options.group_size > 0);
+  if (!std::has_single_bit(options.block_bytes)) {
+    return Status::invalid("pipeline block size " +
+                           std::to_string(options.block_bytes) +
+                           " is not a power of two");
+  }
   if (options.group_size > backend.capacity()) {
     return Status::invalid("pipeline group size " +
                            std::to_string(options.group_size) +
                            " exceeds backend capacity " +
                            std::to_string(backend.capacity()));
   }
-  // Block staging buffers come from the backend's registered fixed-
-  // buffer arena when it has one with room — reads into them then take
-  // the zero-setup READ_FIXED path. Heap-allocated otherwise. Carved
-  // slices are not charged to the budget: the whole arena was charged
-  // once when the backend was built.
+  // Staging buffers come from the backend's registered fixed-buffer
+  // arena when it has one with room — reads into them then take the
+  // zero-setup READ_FIXED path. Heap-allocated otherwise. Carved slices
+  // are not charged to the budget: the whole arena was charged once when
+  // the backend was built.
   const std::uint64_t block_part =
-      options.block_mode ? static_cast<std::uint64_t>(options.group_size) *
-                               options.block_bytes
-                         : 0;
+      static_cast<std::uint64_t>(options.group_size) * options.block_bytes;
   struct BlockCarve {
     AlignedPtr owned;
     unsigned char* view = nullptr;
   };
   BlockCarve carve[2];
   unsigned pool_served = 0;
-  if (options.block_mode) {
-    io::FixedBufferPool* pool = backend.fixed_pool();
-    const std::size_t align =
-        std::max<std::size_t>(kDirectIoAlign, options.block_bytes);
-    for (BlockCarve& c : carve) {
-      if (pool != nullptr) {
-        auto carved = pool->allocate(static_cast<std::size_t>(block_part),
-                                     align);
-        if (carved.is_ok()) {
-          c.view = carved.value().data();
-          ++pool_served;
-          continue;
-        }
+  io::FixedBufferPool* pool = backend.fixed_pool();
+  const std::size_t align =
+      std::max<std::size_t>(kDirectIoAlign, options.block_bytes);
+  for (BlockCarve& c : carve) {
+    if (pool != nullptr) {
+      auto carved = pool->allocate(static_cast<std::size_t>(block_part),
+                                   align);
+      if (carved.is_ok()) {
+        c.view = carved.value().data();
+        ++pool_served;
+        continue;
       }
-      c.owned = aligned_alloc_bytes(static_cast<std::size_t>(block_part),
-                                    align);
-      c.view = c.owned.get();
     }
+    c.owned =
+        aligned_alloc_bytes(static_cast<std::size_t>(block_part), align);
+    c.view = c.owned.get();
   }
 
   // Double-buffered scratch: items + requests + ref table, for both
@@ -115,47 +117,45 @@ std::size_t ReadPipeline::fill_group(ItemSource& source, Group& group,
   stats_.items += n;
   items_counter_.add(n);
 
-  if (!options_.block_mode) {
-    // Exact mode: one 4-byte read per sampled entry, straight into its
-    // value slot.
-    for (std::size_t i = 0; i < n; ++i) {
-      io::ReadRequest& req = group.requests[i];
-      req.offset = group.items[i].edge_idx * kEdgeEntryBytes;
-      req.len = kEdgeEntryBytes;
-      req.buf = values + group.items[i].slot;
-      req.user_data = i;
-    }
-    group.num_requests = n;
-    return n;
-  }
-
-  // Block mode. Probe the cache first; survivors are coalesced by block.
+  // Probe the cache first; survivors are coalesced by block. Block
+  // sizes are powers of two, so block numbers are shifts, not divisions.
   const std::uint32_t bs = options_.block_bytes;
-  auto block_of = [bs](const SampleItem& item) {
-    return item.edge_idx * kEdgeEntryBytes / bs;
+  const int block_shift = std::countr_zero(bs);
+  auto block_of = [block_shift](const SampleItem& item) {
+    return item.edge_idx * kEdgeEntryBytes >> block_shift;
   };
   std::size_t misses = 0;
+  bool in_block_order = true;
+  std::uint64_t prev_block = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const SampleItem item = group.items[i];
-    const std::uint64_t byte_off = item.edge_idx * kEdgeEntryBytes;
+    const std::uint64_t block = block_of(item);
     if (cache_ != nullptr &&
-        cache_->lookup(byte_off / bs,
-                       static_cast<std::uint32_t>(byte_off % bs),
+        cache_->lookup(block,
+                       static_cast<std::uint32_t>(
+                           item.edge_idx * kEdgeEntryBytes & (bs - 1)),
                        kEdgeEntryBytes, values + item.slot)) {
       ++stats_.cache_hits;
       continue;
     }
+    in_block_order = in_block_order && block >= prev_block;
+    prev_block = block;
     group.items[misses++] = item;  // compact misses to the front
   }
   cache_hits_counter_.add(n - misses);
   if (misses == 0) return n;
 
-  std::sort(group.items.begin(),
-            group.items.begin() + static_cast<std::ptrdiff_t>(misses),
-            [&](const SampleItem& a, const SampleItem& b) {
-              return block_of(a) < block_of(b) ||
-                     (block_of(a) == block_of(b) && a.slot < b.slot);
-            });
+  // Layers >= 1 plan sorted targets with per-target draws in edge order,
+  // so on a natural-layout graph the misses already arrive in block
+  // order. Only the rest (layer 0's shuffled batch, reorganized layouts,
+  // prebuilt plans) pay for a sort.
+  if (!in_block_order) {
+    std::sort(group.items.begin(),
+              group.items.begin() + static_cast<std::ptrdiff_t>(misses),
+              [](const SampleItem& a, const SampleItem& b) {
+                return a.edge_idx < b.edge_idx;
+              });
+  }
 
   // One request per *extent*: a maximal run of adjacent distinct blocks
   // (capped at max_extent_blocks), read in one shot into consecutive
@@ -258,7 +258,7 @@ Status ReadPipeline::handle_completion(const io::Completion& completion,
   } else {
     st.done += static_cast<std::uint32_t>(res);
     if (st.done < req.len) {
-      if (options_.block_mode && extent_items_delivered(group, r, st.done)) {
+      if (extent_items_delivered(group, r, st.done)) {
         // Short read at EOF: extents are built from block arithmetic, so
         // the file's last extent can end past its payload and will never
         // fill completely — retrying re-delivers the same prefix until
@@ -289,14 +289,12 @@ Status ReadPipeline::handle_completion(const io::Completion& completion,
     retries_counter_.add();
     io::retry_backoff_sleep(st.attempts - 1, options_.retry_backoff_initial_us,
                             options_.retry_backoff_max_us);
-    if (options_.block_mode) {
-      // Resuming at the raw delivered prefix would issue a read whose
-      // offset/len/buf are not block-aligned — EINVAL under O_DIRECT.
-      // Restart from the containing block boundary instead; the few
-      // re-delivered bytes are idempotent.
-      st.done = static_cast<std::uint32_t>(
-          align_down(st.done, options_.block_bytes));
-    }
+    // Resuming at the raw delivered prefix would issue a read whose
+    // offset/len/buf are not block-aligned — EINVAL under O_DIRECT.
+    // Restart from the containing block boundary instead; the few
+    // re-delivered bytes are idempotent.
+    st.done =
+        static_cast<std::uint32_t>(align_down(st.done, options_.block_bytes));
     io::ReadRequest tail = req;
     tail.offset += st.done;
     tail.len -= st.done;
@@ -305,8 +303,6 @@ Status ReadPipeline::handle_completion(const io::Completion& completion,
     // re-submission can never exceed capacity.
     return backend_.submit({&tail, 1});
   }
-
-  if (!options_.block_mode) return Status::ok();  // payload is in its slot
 
   // Scatter the extent's sampled entries into their slots (offsets are
   // relative to the extent's first byte).

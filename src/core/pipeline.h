@@ -9,12 +9,13 @@
 //  * sync: prepare, submit, and fully drain each group before touching
 //    the next; the CPU idles during every I/O wait.
 //
-// Two read granularities:
-//  * exact: one read per sampled entry (4 bytes) — the paper's
-//    index-based sampling; minimal I/O volume on buffered files.
-//  * block: items are coalesced per aligned block, one read per distinct
-//    block in the group. Required for O_DIRECT, and the granularity at
-//    which the BlockCache (if any) is probed and filled.
+// One read path: a group's items are coalesced per aligned block, and
+// runs of adjacent blocks merge into extents — one read per extent into
+// a staging buffer, from which each sampled entry is scattered into its
+// value slot. Every read covers only blocks holding a sampled entry, so
+// I/O stays sample-proportional (bytes <= block_bytes x items). The same
+// reads serve buffered files, O_DIRECT, and the BlockCache (probed and
+// filled at block granularity).
 #pragma once
 
 #include <memory>
@@ -31,22 +32,20 @@ namespace rs::core {
 
 struct PipelineOptions {
   bool async = true;
-  bool block_mode = false;
-  std::uint32_t block_bytes = 512;
-  std::uint32_t group_size = 512;  // == queue depth
-  // Block mode: merge runs of *adjacent* blocks into single larger reads
-  // (an extent), up to this many blocks per read. Contiguous sampled
-  // offsets — common when fanout ~ degree, since a node's neighbors are
-  // adjacent on disk — then cost one I/O instead of several. 1 disables
-  // merging.
+  std::uint32_t block_bytes = 512;  // read granularity; a power of two
+  std::uint32_t group_size = 512;   // == queue depth
+  // Merge runs of *adjacent* blocks into single larger reads (an
+  // extent), up to this many blocks per read. Contiguous sampled offsets
+  // — common when fanout ~ degree, since a node's neighbors are adjacent
+  // on disk — then cost one I/O instead of several. 1 disables merging.
   std::uint32_t max_extent_blocks = 8;
 
   // ---- Fault tolerance ----
   // Total tries per request (1 initial + max_io_attempts-1 retries) for
   // retryable errnos and short reads; transient errnos (EINTR/EAGAIN)
   // ride io::kTransientRetryCap instead, and permanent errnos
-  // (EBADF/EINVAL/...) never retry. Short reads resume from the
-  // delivered prefix rather than re-reading from scratch.
+  // (EBADF/EINVAL/...) never retry. Short reads resume from the block
+  // boundary containing the delivered prefix rather than from scratch.
   unsigned max_io_attempts = 6;
   // Capped exponential backoff between retries of the same request:
   // min(initial << (retry-1), max). initial == 0 disables backoff.
@@ -121,9 +120,9 @@ class ReadPipeline {
   };
 
   struct Group {
-    std::vector<SampleItem> items;  // block mode: cache misses, block-sorted
+    std::vector<SampleItem> items;  // cache misses, in block order
     std::vector<io::ReadRequest> requests;
-    // Block mode: requests[r] covers items[ref_begin[r], ref_begin[r+1]).
+    // requests[r] covers items[ref_begin[r], ref_begin[r+1]).
     std::vector<std::uint32_t> ref_begin;
     std::vector<RetryState> retry;
     // Block staging memory. block_view is what fill_group targets; it
@@ -140,13 +139,14 @@ class ReadPipeline {
                const PipelineOptions& options, MemoryBudget& budget,
                std::uint64_t scratch_bytes);
 
-  // Pulls up to group_size items, probes the cache, builds requests.
-  // Returns the number of items consumed from the source.
+  // Pulls up to group_size items, probes the cache, builds one request
+  // per extent. Items arriving in block order (the cursor's usual
+  // output) coalesce in one linear pass; only out-of-order groups are
+  // sorted first. Returns the number of items consumed from the source.
   std::size_t fill_group(ItemSource& source, Group& group, NodeId* values);
   Status submit_group(Group& group);
   // Blocks until every in-flight read of `group` completed (including
-  // retried re-submissions), scattering block-mode payloads into value
-  // slots. Returns TIMED_OUT if the stall detector fires.
+  // retried re-submissions), scattering payloads into value slots. Returns TIMED_OUT if the stall detector fires.
   Status drain_group(Group& group, NodeId* values);
   // Scatters a successful completion, or classifies a failed/short one
   // and re-submits its unread tail. Non-OK only when a retry submission
@@ -154,7 +154,7 @@ class ReadPipeline {
   // rest of the group still drains.
   Status handle_completion(const io::Completion& completion, Group& group,
                            NodeId* values);
-  // Block mode: true when every sampled entry referenced by request `r`
+  // True when every sampled entry referenced by request `r`
   // lies entirely within the first `delivered` bytes of the extent —
   // the acceptance test for short reads at EOF, where the block-shaped
   // extent can never be filled completely.

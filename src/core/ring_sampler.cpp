@@ -95,11 +95,10 @@ Status RingSampler::build_contexts() {
     backend_config.register_file = config_.register_file;
     backend_config.fixed_buffers = config_.register_buffers;
     if (config_.register_buffers != io::FixedBufferMode::kOff) {
-      // Arena sized for what this worker carves from it: the values
-      // workspace (exact-mode read destinations) plus both pipeline
-      // block staging buffers, each rounded to the O_DIRECT alignment.
+      // Arena sized for what this worker carves from it: the pipeline's
+      // two staging buffers (every read's destination), each rounded to
+      // the O_DIRECT alignment.
       const std::uint64_t arena =
-          align_up(config_.max_width() * sizeof(NodeId), kDirectIoAlign) +
           2 * align_up(static_cast<std::uint64_t>(config_.queue_depth) *
                            config_.block_bytes,
                        kDirectIoAlign);
@@ -115,15 +114,15 @@ Status RingSampler::build_contexts() {
         ctx->backend,
         io::make_backend_auto(backend_config, edge_file_.fd()));
     if (io::FixedBufferPool* pool = ctx->backend->fixed_pool()) {
-      // The workspace and pipeline buffers carved from the arena are
-      // *not* charged individually — the arena is charged once here.
+      // The pipeline buffers carved from the arena are *not* charged
+      // individually — the arena is charged once here.
       RS_RETURN_IF_ERROR(
           budget_->charge(pool->arena_bytes(), "fixed-buffer arena"));
       arena_bytes_charged_ += pool->arena_bytes();
     }
     RS_ASSIGN_OR_RETURN(
         ctx->workspace,
-        Workspace::create(config_, *budget_, ctx->backend->fixed_pool()));
+        Workspace::create(config_, *budget_));
     // Distinct, decorrelated stream per worker (SplitMix64-expanded).
     std::uint64_t sm = config_.seed + 0x9e3779b97f4a7c15ULL * (t + 1);
     ctx->rng = Xoshiro256(splitmix64(sm));
@@ -164,28 +163,19 @@ Status RingSampler::build_contexts() {
     }
   }
   const PinnedBlockSet* pinned = pinned_.enabled() ? &pinned_ : nullptr;
-  bool any_cache = false;
   for (auto& ctx : contexts_) {
     if (cache_bytes_per_thread > 0 || pinned != nullptr) {
       RS_ASSIGN_OR_RETURN(ctx->cache,
                           BlockCache::create(*budget_,
                                              cache_bytes_per_thread,
                                              config_.block_bytes, pinned));
-      any_cache = any_cache || ctx->cache.enabled();
     }
   }
 
-  // Read granularity: O_DIRECT and the block cache both require
-  // block-granular reads; otherwise exact 4-byte entry reads (the
-  // paper's buffered mode) unless coalescing was requested explicitly.
-  block_mode_ =
-      config_.direct_io || config_.coalesce_blocks || any_cache;
-
-  // Pass 3: pipelines (need the block-mode decision).
+  // Pass 3: pipelines.
   for (auto& ctx : contexts_) {
     PipelineOptions options;
     options.async = config_.async_pipeline;
-    options.block_mode = block_mode_;
     options.block_bytes = config_.block_bytes;
     options.group_size = config_.queue_depth;
     options.max_extent_blocks = config_.max_extent_blocks;
@@ -199,9 +189,8 @@ Status RingSampler::build_contexts() {
                              ctx->cache.enabled() ? &ctx->cache : nullptr,
                              options, *budget_));
   }
-  RS_DEBUG("RingSampler ready: %u threads, block_mode=%d, budget used %s",
-           config_.num_threads, block_mode_ ? 1 : 0,
-           std::to_string(budget_->used()).c_str());
+  RS_DEBUG("RingSampler ready: %u threads, budget used %s",
+           config_.num_threads, std::to_string(budget_->used()).c_str());
   return Status::ok();
 }
 

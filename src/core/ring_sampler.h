@@ -2,8 +2,9 @@
 // neighborhood sampler over an SSD-resident edge file:
 //
 //   * index-based sampling — random *offsets* are drawn from each
-//     target's offset-index range and only those 4-byte entries are
-//     fetched, so disk traffic is proportional to the sample;
+//     target's offset-index range and only the blocks holding those
+//     4-byte entries are read (coalesced per I/O group), so disk
+//     traffic is proportional to the sample;
 //   * batch-parallel threading — mini-batches are distributed across
 //     worker threads, each owning a private ring, workspace, and RNG
 //     stream, with zero inter-thread synchronization (Fig. 3a);
@@ -179,7 +180,6 @@ class RingSampler final : public Sampler {
   std::uint64_t hotness_bytes_charged_ = 0;
   // One immutable pin set shared by every worker's BlockCache.
   PinnedBlockSet pinned_;
-  bool block_mode_ = false;
   // Fixed-buffer arenas charged to the budget (released in the dtor —
   // the backends own the arenas but not the budget accounting).
   std::uint64_t arena_bytes_charged_ = 0;

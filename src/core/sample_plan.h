@@ -8,6 +8,7 @@
 // group k (Fig. 3b).
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -59,6 +60,12 @@ class SpanItemSource final : public ItemSource {
 // contiguously in target order, so `begins` (written as a side effect)
 // ends up as the per-target prefix table of the layer's sample:
 // target i's neighbors land in slots [begins[i], begins[i+1]).
+//
+// Within a target, slots follow draw order but items are *emitted* in
+// edge-index order. Values (and so checksums) are unchanged by the
+// reordering, and a layer over sorted targets on a natural-layout graph
+// then reaches the pipeline already in block order, so its reads
+// coalesce without a sort.
 class LayerSampleCursor final : public ItemSource {
  public:
   // `begins` must hold targets.size() + 1 entries and outlive the
@@ -103,7 +110,7 @@ class LayerSampleCursor final : public ItemSource {
     std::size_t n = 0;
     while (n < out.size()) {
       if (pending_pos_ < pending_.size()) {
-        out[n++] = {pending_[pending_pos_++], next_slot_++};
+        out[n++] = pending_[pending_pos_++];
         continue;
       }
       if (target_i_ >= targets_.size()) break;
@@ -132,12 +139,18 @@ class LayerSampleCursor final : public ItemSource {
         if (!cached.empty()) {
           // Served from the hot cache: write values in place, skip I/O.
           sample_offsets(0, degree, k);
-          for (const std::uint64_t idx : pending_) {
+          for (const std::uint64_t idx : draws_) {
             values_[next_slot_++] = cached[idx];
           }
-          pending_.clear();
         } else {
           sample_offsets(begin, end, k);
+          for (const EdgeIdx edge : draws_) {
+            pending_.push_back({edge, next_slot_++});
+          }
+          std::sort(pending_.begin(), pending_.end(),
+                    [](const SampleItem& a, const SampleItem& b) {
+                      return a.edge_idx < b.edge_idx;
+                    });
         }
       }
       begins_[target_i_ + 1] =
@@ -158,14 +171,16 @@ class LayerSampleCursor final : public ItemSource {
     return per_target_seeds_ ? target_rng_ : rng_;
   }
 
+  // Draws k offsets from [lo, hi) into draws_, in draw order.
   void sample_offsets(EdgeIdx lo, EdgeIdx hi, std::uint64_t k) {
     Xoshiro256& rng = active_rng();
+    draws_.clear();
     if (with_replacement_) {
       for (std::uint64_t i = 0; i < k; ++i) {
-        pending_.push_back(rng.uniform_range(lo, hi));
+        draws_.push_back(rng.uniform_range(lo, hi));
       }
     } else {
-      sample_distinct_range(rng, lo, hi, k, pending_);
+      sample_distinct_range(rng, lo, hi, k, draws_);
     }
   }
 
@@ -184,7 +199,9 @@ class LayerSampleCursor final : public ItemSource {
   Xoshiro256 target_rng_{0};
 
   std::size_t target_i_ = 0;
-  std::vector<EdgeIdx> pending_;
+  std::vector<EdgeIdx> draws_;
+  // The current target's items, slotted in draw order, sorted by edge.
+  std::vector<SampleItem> pending_;
   std::size_t pending_pos_ = 0;
   std::uint32_t next_slot_ = 0;
 };

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 
-#include "io/fixed_buffer_pool.h"
-
 namespace rs::core {
 
 Result<Workspace> Workspace::create(const SamplerConfig& config,
-                                    MemoryBudget& budget,
-                                    io::FixedBufferPool* pool) {
+                                    MemoryBudget& budget) {
   RS_CHECK_MSG(!config.fanouts.empty(), "at least one sampling layer");
   const std::uint64_t max_width = config.max_width();
   // Targets of layer l are the (deduped) values of layer l-1; the widest
@@ -22,18 +19,8 @@ Result<Workspace> Workspace::create(const SamplerConfig& config,
           : config.batch_size;
 
   Workspace ws;
-  if (pool != nullptr) {
-    auto carved = pool->allocate(max_width * sizeof(NodeId));
-    if (carved.is_ok()) {
-      ws.values_view_ = reinterpret_cast<NodeId*>(carved.value().data());
-      ws.values_view_count_ = static_cast<std::size_t>(max_width);
-    }
-  }
-  if (ws.values_view_ == nullptr) {
-    RS_ASSIGN_OR_RETURN(ws.values_,
-                        TrackedBuffer<NodeId>::create(
-                            budget, max_width, "workspace values"));
-  }
+  RS_ASSIGN_OR_RETURN(ws.values_, TrackedBuffer<NodeId>::create(
+                                      budget, max_width, "workspace values"));
   RS_ASSIGN_OR_RETURN(ws.targets_,
                       TrackedBuffer<NodeId>::create(
                           budget, max_targets, "workspace targets"));

@@ -25,22 +25,11 @@ class Workspace {
  public:
   Workspace() = default;
 
-  // When `pool` (the backend's registered fixed-buffer arena) is given
-  // and has room, the values buffer is carved from it instead of heap-
-  // allocated: values slots are exact-mode read destinations, so reads
-  // into them then take the READ_FIXED path. Carved memory is not
-  // charged to `budget` — the whole arena was charged at backend
-  // creation.
   static Result<Workspace> create(const SamplerConfig& config,
-                                  MemoryBudget& budget,
-                                  io::FixedBufferPool* pool = nullptr);
+                                  MemoryBudget& budget);
 
-  NodeId* values() {
-    return values_view_ != nullptr ? values_view_ : values_.data();
-  }
-  std::size_t values_capacity() const {
-    return values_view_ != nullptr ? values_view_count_ : values_.size();
-  }
+  NodeId* values() { return values_.data(); }
+  std::size_t values_capacity() const { return values_.size(); }
 
   NodeId* targets() { return targets_.data(); }
   std::size_t targets_capacity() const { return targets_.size(); }
@@ -60,10 +49,7 @@ class Workspace {
   }
 
  private:
-  TrackedBuffer<NodeId> values_;  // empty when values_view_ is set
-  // Non-owning view into the backend's fixed-buffer arena.
-  NodeId* values_view_ = nullptr;
-  std::size_t values_view_count_ = 0;
+  TrackedBuffer<NodeId> values_;
   TrackedBuffer<NodeId> targets_;
   TrackedBuffer<std::uint32_t> begins_;
 };

@@ -1,17 +1,17 @@
 // FixedBufferPool: one contiguous, page-aligned arena registered with an
 // io_uring via IORING_REGISTER_BUFFERS, carved into the I/O destinations
-// the sampling hot path reads into (the workspace values buffer and the
-// pipeline's block staging buffers). Reads whose destination lies inside
-// the arena can be submitted as IORING_OP_READ_FIXED: the kernel resolves
-// the registration once instead of pinning and translating the user pages
-// on every I/O — the per-operation cost that dominates 4-byte reads
-// (paper §3.1; GIDS and DiskGNN make the same observation).
+// the sampling hot path reads into (the pipeline's two block staging
+// buffers). Reads whose destination lies inside the arena can be
+// submitted as IORING_OP_READ_FIXED: the kernel resolves the
+// registration once instead of pinning and translating the user pages
+// on every I/O — the per-operation cost that dominates small random
+// reads (paper §3.1; GIDS and DiskGNN make the same observation).
 //
 // The arena is registered as a *single* iovec (buf_index 0) rather than
 // the queue_depth-sliced layout one might expect: READ_FIXED only
 // requires that [addr, addr+len) fall inside one registered iovec, and
-// the pipeline's extents and the workspace values buffer are variable-
-// sized, so per-slot slices would either waste memory or force copies.
+// the pipeline's extents are variable-sized, so per-slot slices would
+// either waste memory or force copies.
 // One big iovec gives every carved buffer the fixed-path benefit with a
 // trivial containment check at submit time.
 //

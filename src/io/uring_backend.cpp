@@ -104,7 +104,15 @@ Status UringBackend::submit(std::span<const ReadRequest> requests) {
   batch_fixed_.clear();
   for (const ReadRequest& req : requests) {
     io_uring_sqe* sqe = ring_.get_sqe();
-    RS_CHECK_MSG(sqe != nullptr, "SQ full despite capacity check");
+    if (sqe == nullptr) {
+      // Only reachable when an SQPOLL thread stops consuming entries:
+      // withdraw this batch and hand its slots back.
+      ring_.drop_unsubmitted();
+      free_slots_.insert(free_slots_.end(), batch_slots_.begin(),
+                         batch_slots_.end());
+      return Status::io_error("io_uring SQ stayed full with " +
+                              std::to_string(in_flight_) + " in flight");
+    }
     // The SQE carries the slot index; the caller's user_data is parked in
     // the slot and restored on completion (see drain_cq).
     const std::uint32_t slot = free_slots_.back();

@@ -27,6 +27,9 @@
 #ifndef IORING_SQ_CQ_OVERFLOW
 #define IORING_SQ_CQ_OVERFLOW (1U << 1)
 #endif
+#ifndef IORING_ENTER_SQ_WAIT
+#define IORING_ENTER_SQ_WAIT (1U << 2)
+#endif
 
 namespace rs::uring {
 namespace {
@@ -199,12 +202,34 @@ unsigned Ring::sq_space_left() const {
 }
 
 io_uring_sqe* Ring::get_sqe() {
-  const unsigned head = load_acquire(sq_khead_);
-  if (sqe_tail_ - head >= sq_entries_) return nullptr;
+  if (sqe_tail_ - load_acquire(sq_khead_) >= sq_entries_ &&
+      !(sqpoll_enabled() && wait_sq_space())) {
+    return nullptr;
+  }
   io_uring_sqe* sqe = &sqes_[sqe_tail_ & sq_ring_mask_];
   ++sqe_tail_;
   memset(sqe, 0, sizeof(*sqe));
   return sqe;
+}
+
+bool Ring::wait_sq_space() {
+  // The SQPOLL thread posts a batch's completions before it advances the
+  // SQ head past that batch, so a caller that counts free slots by reaped
+  // completions can briefly see a full SQ. IORING_ENTER_SQ_WAIT sleeps
+  // until the thread consumes an entry; the attempt cap bounds the loop
+  // against signals and kernels that reject the flag.
+  constexpr unsigned kMaxAttempts = 64;
+  for (unsigned attempt = 0; attempt < kMaxAttempts; ++attempt) {
+    unsigned flags = IORING_ENTER_SQ_WAIT;
+    if (load_acquire(sq_kflags_) & IORING_SQ_NEED_WAKEUP) {
+      flags |= IORING_ENTER_SQ_WAKEUP;
+    }
+    ++stats_.enter_calls;
+    const int rc = sys_io_uring_enter(ring_fd_, 0, 0, flags, nullptr);
+    if (sqe_tail_ - load_acquire(sq_khead_) < sq_entries_) return true;
+    if (rc < 0 && rc != -EINTR) return false;
+  }
+  return false;
 }
 
 void Ring::prep_read(io_uring_sqe* sqe, int fd, void* buf, unsigned len,

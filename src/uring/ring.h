@@ -92,7 +92,10 @@ class Ring {
   // Count of prepared-but-unsubmitted SQEs.
   unsigned sq_pending() const { return sqe_tail_ - sqe_head_; }
 
-  // Grabs the next free SQE, zeroed; nullptr if the SQ is full.
+  // Grabs the next free SQE, zeroed; nullptr if the SQ is full. On an
+  // SQPOLL ring a full SQ is first waited out (bounded), since the
+  // kernel thread may not have advanced the head past entries whose
+  // completions were already reaped.
   io_uring_sqe* get_sqe();
 
   // Opcode preparation (on an SQE from get_sqe()).
@@ -205,6 +208,9 @@ class Ring {
   Status init(const RingConfig& config);
   void destroy();
   Status enter_getevents(unsigned min_complete);
+  // SQPOLL only: waits for the kernel thread to free an SQ slot; false
+  // if none freed within the attempt cap.
+  bool wait_sq_space();
   // Un-publishes the most recent `n` published-but-unconsumed SQEs (non-
   // SQPOLL only: the kernel reads the SQ solely inside io_uring_enter, so
   // entries it did not consume can be withdrawn by stepping the tail

@@ -81,8 +81,10 @@ TEST_F(HybridTest, ThresholdZeroIsAllCpu) {
   auto epoch = sampler.value()->run_epoch(targets);
   RS_ASSERT_OK(epoch);
   EXPECT_EQ(sampler.value()->last_split().device_targets, 0u);
-  // All sampled entries came through the pipeline.
-  EXPECT_EQ(epoch.value().read_ops, epoch.value().sampled_neighbors);
+  // All sampled entries came through the pipeline, at most one
+  // coalesced block read each.
+  EXPECT_GT(epoch.value().read_ops, 0u);
+  EXPECT_LE(epoch.value().read_ops, epoch.value().sampled_neighbors);
 }
 
 TEST_F(HybridTest, HugeThresholdIsAllDevice) {

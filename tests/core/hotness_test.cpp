@@ -237,13 +237,11 @@ TEST_F(HotnessEngineTest, PinnedBlocksServeHitsBitIdentically) {
   // scratch, so too-small leftovers OOM at open — same probe the
   // hotness ablation uses).
   std::uint64_t floor_bytes = 0;
-  for (const bool block_mode : {false, true}) {
+  {
     MemoryBudget probe = MemoryBudget::unlimited();
-    SamplerConfig probe_config = config;
-    probe_config.coalesce_blocks = block_mode;
-    auto sampler = RingSampler::open(base_, probe_config, &probe);
+    auto sampler = RingSampler::open(base_, config, &probe);
     RS_ASSERT_OK(sampler);
-    floor_bytes = std::max(floor_bytes, probe.used());
+    floor_bytes = probe.used();
   }
   for (std::uint64_t spend = 256u << 10;; spend += spend / 2) {
     ASSERT_LT(spend, std::uint64_t{1} << 30) << "no workable budget";

@@ -164,8 +164,9 @@ TEST_F(LayerWiseTest, SampledVolumeBoundedByLayerBudgets) {
   const std::uint64_t cap = r.batches * (64 + 32);
   EXPECT_LE(r.sampled_neighbors, cap);
   EXPECT_GT(r.sampled_neighbors, 0u);
-  // Exact 4-byte reads: one per sampled entry.
-  EXPECT_EQ(r.read_ops, r.sampled_neighbors);
+  // Coalesced block reads: at most one per sampled entry.
+  EXPECT_GT(r.read_ops, 0u);
+  EXPECT_LE(r.read_ops, r.sampled_neighbors);
 }
 
 TEST_F(LayerWiseTest, BudgetAccounting) {

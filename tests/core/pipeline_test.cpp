@@ -1,6 +1,7 @@
-// ReadPipeline unit tests against the in-memory fault-injecting backend:
-// exact and block modes, sync and async, cache interaction, and error
-// propagation.
+// ReadPipeline unit tests against the in-memory fault-injecting backend
+// (sync and async, in-order and out-of-order plans, cache interaction,
+// error propagation), plus the sample-proportional I/O bound over every
+// real backend, buffered and O_DIRECT.
 #include "core/pipeline.h"
 
 #include <gtest/gtest.h>
@@ -8,8 +9,10 @@
 #include <map>
 #include <numeric>
 
+#include "io/file.h"
 #include "io/mem_backend.h"
 #include "testutil.h"
+#include "uring/uring_syscalls.h"
 
 namespace rs::core {
 namespace {
@@ -53,6 +56,11 @@ std::vector<SampleItem> make_items(std::size_t count, std::size_t entries,
   return items;
 }
 
+// Items three 512-byte blocks apart never share a block or an extent, so
+// each becomes its own request — what fault-period tests count on.
+constexpr std::uint64_t kSpreadStride = 3 * 128;
+constexpr std::size_t kSpreadEntries = 200 * kSpreadStride;
+
 void verify_values(const std::vector<SampleItem>& items,
                    const std::vector<NodeId>& values) {
   for (const SampleItem& item : items) {
@@ -65,7 +73,6 @@ void verify_values(const std::vector<SampleItem>& items,
 struct PipelineParam {
   std::string name;
   bool async;
-  bool block_mode;
   std::uint32_t group_size;
 };
 
@@ -79,7 +86,6 @@ TEST_P(PipelineModeTest, FetchesEveryItemCorrectly) {
   MemoryBudget budget;
   PipelineOptions options;
   options.async = param.async;
-  options.block_mode = param.block_mode;
   options.block_bytes = 512;
   options.group_size = param.group_size;
   auto pipeline = ReadPipeline::create(backend, nullptr, options, budget);
@@ -93,30 +99,71 @@ TEST_P(PipelineModeTest, FetchesEveryItemCorrectly) {
 
   const PipelineStats& stats = pipeline.value()->stats();
   EXPECT_EQ(stats.items, items.size());
-  if (param.block_mode) {
-    // Coalescing cannot exceed one request per item; with groups larger
-    // than one, stride-17 items at 128 entries/block coalesce strictly.
-    if (param.group_size > 1) {
-      EXPECT_LT(stats.read_ops, items.size());
-    } else {
-      EXPECT_EQ(stats.read_ops, items.size());
-    }
-    EXPECT_GT(stats.read_ops, 0u);
+  // Coalescing cannot exceed one request per item; with groups larger
+  // than one, stride-17 items at 128 entries/block coalesce strictly.
+  if (param.group_size > 1) {
+    EXPECT_LT(stats.read_ops, items.size());
   } else {
     EXPECT_EQ(stats.read_ops, items.size());
-    EXPECT_EQ(stats.bytes_read, items.size() * kEdgeEntryBytes);
   }
+  EXPECT_GT(stats.read_ops, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, PipelineModeTest,
-    ::testing::Values(PipelineParam{"exact_sync", false, false, 64},
-                      PipelineParam{"exact_async", true, false, 64},
-                      PipelineParam{"block_sync", false, true, 64},
-                      PipelineParam{"block_async", true, true, 64},
-                      PipelineParam{"tiny_groups", true, false, 4},
-                      PipelineParam{"group_of_one", true, true, 1}),
+    ::testing::Values(PipelineParam{"sync", false, 64},
+                      PipelineParam{"async", true, 64},
+                      PipelineParam{"tiny_groups", true, 4},
+                      PipelineParam{"group_of_one", true, 1}),
     [](const auto& param_info) { return param_info.param.name; });
+
+// Items in block order coalesce in one linear pass; a group that arrives
+// out of order is sorted first and must plan exactly the same requests.
+TEST(PipelineTest, OutOfOrderGroupsMatchSortedPlan) {
+  constexpr std::size_t kEntries = 8192;
+  constexpr std::uint32_t kGroup = 64;
+  io::MemBackend backend(make_edge_bytes(kEntries), kGroup);
+  MemoryBudget budget;
+
+  // Sorted plan: every 5th entry, so blocks hold ~25 items and runs of
+  // adjacent blocks form extents.
+  std::vector<SampleItem> sorted;
+  for (std::size_t e = 0; e < kEntries; e += 5) {
+    sorted.push_back({e, static_cast<std::uint32_t>(sorted.size())});
+  }
+  // Same items in the same groups, each group shuffled.
+  std::vector<SampleItem> shuffled = sorted;
+  Xoshiro256 rng(99);
+  for (std::size_t g = 0; g < shuffled.size(); g += kGroup) {
+    const std::size_t end = std::min(shuffled.size(), g + kGroup);
+    for (std::size_t i = end - 1; i > g; --i) {
+      std::swap(shuffled[i], shuffled[g + rng.uniform(i - g + 1)]);
+    }
+  }
+  ASSERT_FALSE(std::is_sorted(shuffled.begin(), shuffled.end(),
+                              [](const SampleItem& a, const SampleItem& b) {
+                                return a.edge_idx < b.edge_idx;
+                              }));
+
+  auto run_with = [&](const std::vector<SampleItem>& items) {
+    PipelineOptions options;
+    options.group_size = kGroup;
+    auto pipeline = ReadPipeline::create(backend, nullptr, options, budget);
+    RS_CHECK_MSG(pipeline.is_ok(), pipeline.status().to_string());
+    std::vector<NodeId> values(items.size(), 0);
+    VectorSource source(items);
+    const Status status = pipeline.value()->run(source, values.data());
+    RS_CHECK_MSG(status.is_ok(), status.to_string());
+    verify_values(items, values);
+    return std::make_pair(values, pipeline.value()->stats().read_ops);
+  };
+
+  const auto [sorted_values, sorted_ops] = run_with(sorted);
+  const auto [shuffled_values, shuffled_ops] = run_with(shuffled);
+  EXPECT_EQ(shuffled_values, sorted_values);
+  EXPECT_EQ(shuffled_ops, sorted_ops);
+  EXPECT_LT(sorted_ops, sorted.size());
+}
 
 TEST(PipelineTest, DelayedCompletionsStillAllArrive) {
   constexpr std::size_t kEntries = 1024;
@@ -137,7 +184,7 @@ TEST(PipelineTest, DelayedCompletionsStillAllArrive) {
 
 TEST(PipelineTest, PermanentIoErrorSurfacesAsStatus) {
   // EBADF is a permanent errno: no retry, the error surfaces directly.
-  constexpr std::size_t kEntries = 1024;
+  constexpr std::size_t kEntries = kSpreadEntries;
   io::MemBackend backend(make_edge_bytes(kEntries), 32);
   backend.inject_faults(/*period=*/50, EBADF);
   MemoryBudget budget;
@@ -146,7 +193,7 @@ TEST(PipelineTest, PermanentIoErrorSurfacesAsStatus) {
   auto pipeline = ReadPipeline::create(backend, nullptr, options, budget);
   RS_ASSERT_OK(pipeline);
 
-  const auto items = make_items(200, kEntries);
+  const auto items = make_items(200, kEntries, kSpreadStride);
   std::vector<NodeId> values(items.size(), 0);
   VectorSource source(items);
   const Status status = pipeline.value()->run(source, values.data());
@@ -161,7 +208,7 @@ TEST(PipelineTest, RetryableIoErrorIsRetriedToSuccess) {
   // EIO is retryable: every 50th request fails once, the pipeline
   // resubmits it (a fresh request, off the fault period), and the run
   // succeeds with bit-identical values.
-  constexpr std::size_t kEntries = 1024;
+  constexpr std::size_t kEntries = kSpreadEntries;
   io::MemBackend backend(make_edge_bytes(kEntries), 32);
   backend.inject_faults(/*period=*/50, EIO);
   MemoryBudget budget;
@@ -171,7 +218,7 @@ TEST(PipelineTest, RetryableIoErrorIsRetriedToSuccess) {
   auto pipeline = ReadPipeline::create(backend, nullptr, options, budget);
   RS_ASSERT_OK(pipeline);
 
-  const auto items = make_items(200, kEntries);
+  const auto items = make_items(200, kEntries, kSpreadStride);
   std::vector<NodeId> values(items.size(), 0);
   VectorSource source(items);
   test::assert_ok(pipeline.value()->run(source, values.data()));
@@ -207,7 +254,7 @@ TEST(PipelineTest, RetryExhaustionReportsAttemptCount) {
 TEST(PipelineTest, StallDetectorTimesOutOnLostCompletions) {
   // A swallowed completion never arrives; instead of hanging forever the
   // pipeline errors out with TIMED_OUT once the wait deadline passes.
-  constexpr std::size_t kEntries = 1024;
+  constexpr std::size_t kEntries = kSpreadEntries;
   io::MemBackend backend(make_edge_bytes(kEntries), 32);
   backend.lose_completions(/*period=*/40);
   MemoryBudget budget;
@@ -217,7 +264,7 @@ TEST(PipelineTest, StallDetectorTimesOutOnLostCompletions) {
   auto pipeline = ReadPipeline::create(backend, nullptr, options, budget);
   RS_ASSERT_OK(pipeline);
 
-  const auto items = make_items(200, kEntries);
+  const auto items = make_items(200, kEntries, kSpreadStride);
   std::vector<NodeId> values(items.size(), 0);
   VectorSource source(items);
   const Status status = pipeline.value()->run(source, values.data());
@@ -236,7 +283,6 @@ TEST(PipelineTest, BlockCacheAbsorbsRepeatedBlocks) {
   ASSERT_TRUE(cache.value().enabled());
 
   PipelineOptions options;
-  options.block_mode = true;
   options.block_bytes = 512;
   options.group_size = 64;
   auto pipeline =
@@ -275,8 +321,7 @@ TEST(PipelineTest, AdjacentBlocksMergeIntoExtents) {
 
   auto run_with = [&](std::uint32_t max_extent) {
     PipelineOptions options;
-    options.block_mode = true;
-    options.block_bytes = 512;
+      options.block_bytes = 512;
     options.group_size = 512;
     options.max_extent_blocks = max_extent;
     auto pipeline =
@@ -305,7 +350,6 @@ TEST(PipelineTest, ExtentCapRespected) {
     items.push_back({i, static_cast<std::uint32_t>(items.size())});
   }
   PipelineOptions options;
-  options.block_mode = true;
   options.block_bytes = 512;
   options.group_size = 64;
   options.max_extent_blocks = 4;
@@ -325,7 +369,6 @@ TEST(PipelineTest, ExtentsFillCacheBlockwise) {
   auto cache = BlockCache::create(budget, 1 << 20, 512);
   RS_ASSERT_OK(cache);
   PipelineOptions options;
-  options.block_mode = true;
   options.block_bytes = 512;
   options.group_size = 64;
   options.max_extent_blocks = 8;
@@ -418,7 +461,7 @@ class LyingShortBackend final : public io::IoBackend {
   std::map<std::uint64_t, std::uint32_t> lengths_;
 };
 
-// Regression: resuming a shortened block-mode read must restart from the
+// Regression: resuming a shortened read must restart from the
 // containing block boundary, not from offset + done — a misaligned resume
 // offset EINVALs under O_DIRECT and desyncs the block scatter.
 TEST(PipelineTest, ShortReadResumeStaysBlockAligned) {
@@ -427,7 +470,6 @@ TEST(PipelineTest, ShortReadResumeStaysBlockAligned) {
   LyingShortBackend backend(inner, 512, /*lies=*/1);
   MemoryBudget budget;
   PipelineOptions options;
-  options.block_mode = true;
   options.block_bytes = 512;
   options.group_size = 512;
   options.max_extent_blocks = 8;
@@ -468,7 +510,6 @@ TEST(PipelineTest, EofTailBlockIsNotCached) {
   ASSERT_TRUE(cache.value().enabled());
 
   PipelineOptions options;
-  options.block_mode = true;
   options.block_bytes = 512;
   options.group_size = 64;
   options.retry_backoff_initial_us = 0;
@@ -490,6 +531,110 @@ TEST(PipelineTest, EofTailBlockIsNotCached) {
   EXPECT_FALSE(cache.value().lookup(7, 0, 4, &out))
       << "partial EOF tail block was inserted into the cache";
 }
+
+// Paper §3.1's bound, made explicit: every read covers whole blocks that
+// hold a sampled entry, so a layer costs at most one request and one
+// block of bytes per sampled entry, on every backend, sync and async,
+// buffered and O_DIRECT.
+struct BoundParam {
+  std::string name;
+  io::BackendKind backend;  // ignored when mem is set
+  bool mem;
+  bool async;
+  bool direct;
+};
+
+class SampleProportionalTest : public ::testing::TestWithParam<BoundParam> {};
+
+TEST_P(SampleProportionalTest, ReadsAreBlockAlignedAndBounded) {
+  const BoundParam& param = GetParam();
+  if (!param.mem && param.backend == io::BackendKind::kUring &&
+      !uring::kernel_supports_io_uring()) {
+    GTEST_SKIP() << "io_uring unavailable";
+  }
+  constexpr std::size_t kEntries = 16384;  // 64 KiB, block-multiple
+  constexpr std::uint32_t kBlock = 512;
+  constexpr std::uint32_t kGroup = 64;
+  const std::vector<unsigned char> bytes = make_edge_bytes(kEntries);
+
+  test::TempDir dir;
+  io::File file;
+  std::unique_ptr<io::IoBackend> inner;
+  if (param.mem) {
+    inner = std::make_unique<io::MemBackend>(bytes, kGroup);
+  } else {
+    const std::string path = dir.file("edges.bin");
+    {
+      auto out = io::File::open(path, io::OpenMode::kWriteTrunc);
+      RS_ASSERT_OK(out);
+      test::assert_ok(out.value().pwrite_exact(bytes.data(), bytes.size(), 0));
+    }
+    auto opened = io::File::open(
+        path, param.direct ? io::OpenMode::kReadDirect : io::OpenMode::kRead);
+    RS_ASSERT_OK(opened);
+    file = std::move(opened).value();
+    io::BackendConfig config;
+    config.kind = param.backend;
+    config.queue_depth = kGroup;
+    auto made = io::make_backend(config, file.fd());
+    RS_ASSERT_OK(made);
+    inner = std::move(made).value();
+  }
+  LyingShortBackend backend(*inner, kBlock, /*lies=*/0);  // records only
+
+  MemoryBudget budget;
+  PipelineOptions options;
+  options.async = param.async;
+  options.block_bytes = kBlock;
+  options.group_size = kGroup;
+  auto pipeline = ReadPipeline::create(backend, nullptr, options, budget);
+  RS_ASSERT_OK(pipeline);
+
+  // Random entries (duplicates allowed), several groups' worth.
+  std::vector<SampleItem> items;
+  Xoshiro256 rng(2024);
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    items.push_back({rng.uniform(kEntries), i});
+  }
+  std::vector<NodeId> values(items.size(), 0);
+  VectorSource source(items);
+  test::assert_ok(pipeline.value()->run(source, values.data()));
+  verify_values(items, values);
+
+  const PipelineStats& stats = pipeline.value()->stats();
+  EXPECT_EQ(stats.retries, 0u);
+  EXPECT_LE(stats.read_ops, items.size());
+  EXPECT_LE(stats.bytes_read, std::uint64_t{kBlock} * items.size());
+  ASSERT_EQ(backend.submitted().size(), stats.read_ops);
+  for (const auto& req : backend.submitted()) {
+    EXPECT_EQ(req.offset % kBlock, 0u) << "offset " << req.offset;
+    EXPECT_EQ(req.len % kBlock, 0u) << "len " << req.len;
+  }
+}
+
+std::vector<BoundParam> bound_params() {
+  const std::pair<const char*, io::BackendKind> kinds[] = {
+      {"psync", io::BackendKind::kPsync},
+      {"uring", io::BackendKind::kUring},
+      {"mmap", io::BackendKind::kMmap}};
+  std::vector<BoundParam> params;
+  for (const bool async : {false, true}) {
+    const std::string shape = async ? "_async" : "_sync";
+    for (const auto& [name, kind] : kinds) {
+      for (const bool direct : {false, true}) {
+        params.push_back({name + shape + (direct ? "_direct" : "_buffered"),
+                          kind, false, async, direct});
+      }
+    }
+    params.push_back({"mem" + shape, io::BackendKind::kPsync, true, async,
+                      false});
+  }
+  return params;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, SampleProportionalTest, ::testing::ValuesIn(bound_params()),
+    [](const auto& param_info) { return param_info.param.name; });
 
 TEST(PipelineTest, GroupSizeBeyondBackendCapacityRejected) {
   io::MemBackend backend(make_edge_bytes(64), 8);

@@ -1,6 +1,7 @@
 // LayerSampleCursor: offsets stay within each target's range, are
-// distinct per target, begins[] forms the right prefix table, and lazy
-// emission across arbitrary next() chunk sizes is seamless.
+// distinct per target, begins[] forms the right prefix table, each
+// target's items come out in edge order with its draw-order slots, and
+// lazy emission across arbitrary next() chunk sizes is seamless.
 #include "core/sample_plan.h"
 
 #include <gtest/gtest.h>
@@ -43,9 +44,20 @@ TEST(LayerSampleCursorTest, PlansWithinRangesAndDistinct) {
   EXPECT_EQ(begins[3], 7u);
   EXPECT_EQ(begins[4], 11u);
 
-  // Slots are assigned 0..n-1 in order.
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(items[i].slot, i);
+  // Each target emits its own slot range, in edge-index order.
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    std::set<std::uint32_t> slots;
+    for (std::uint32_t i = begins[t]; i < begins[t + 1]; ++i) {
+      slots.insert(items[i].slot);
+      if (i > begins[t]) {
+        EXPECT_LT(items[i - 1].edge_idx, items[i].edge_idx);
+      }
+    }
+    std::set<std::uint32_t> expected;
+    for (std::uint32_t i = begins[t]; i < begins[t + 1]; ++i) {
+      expected.insert(i);
+    }
+    EXPECT_EQ(slots, expected) << "target " << t;
   }
 
   // Each target's items fall inside its index range and are distinct.
@@ -59,6 +71,45 @@ TEST(LayerSampleCursorTest, PlansWithinRangesAndDistinct) {
       seen.insert(items[s].edge_idx);
     }
     EXPECT_EQ(seen.size(), begins[t + 1] - begins[t]);
+  }
+}
+
+// Emission order changes, the sample does not: slot s holds exactly the
+// offset the s-th draw produced, as if items were emitted in draw order.
+TEST(LayerSampleCursorTest, SlotsKeepDrawOrder) {
+  MemoryBudget budget;
+  std::vector<EdgeIdx> offsets = {0};
+  for (int i = 1; i <= 50; ++i) offsets.push_back(offsets.back() + 3 * i);
+  const OffsetIndex index = make_index(budget, offsets);
+  std::vector<NodeId> targets(50);
+  for (NodeId v = 0; v < 50; ++v) targets[v] = (v * 7) % 50;
+
+  constexpr std::uint32_t kFanout = 10;
+  std::vector<std::uint32_t> begins(targets.size() + 1);
+  Xoshiro256 rng(31);
+  LayerSampleCursor cursor(index, targets, kFanout, rng, begins.data());
+  std::vector<SampleItem> items(4096);
+  const std::size_t n = cursor.next(items);
+  ASSERT_TRUE(cursor.exhausted());
+
+  // Replay the draws the cursor makes, in the same RNG order.
+  Xoshiro256 replay(31);
+  std::vector<EdgeIdx> drawn;
+  for (const NodeId v : targets) {
+    const EdgeIdx degree = index.end(v) - index.begin(v);
+    const std::uint64_t k = std::min<std::uint64_t>(kFanout, degree);
+    if (k > 0) {
+      sample_distinct_range(replay, index.begin(v), index.end(v), k, drawn);
+    }
+  }
+  ASSERT_EQ(n, drawn.size());
+  std::vector<bool> filled(n, false);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_LT(items[i].slot, n);
+    EXPECT_FALSE(filled[items[i].slot]) << "slot emitted twice";
+    filled[items[i].slot] = true;
+    EXPECT_EQ(items[i].edge_idx, drawn[items[i].slot]) << "slot "
+                                                       << items[i].slot;
   }
 }
 

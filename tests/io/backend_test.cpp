@@ -437,6 +437,49 @@ TEST(UringSubmitFailureTest, FailedSubmitsReturnFreelistSlots) {
   close(fd);
 }
 
+// Regression: the SQPOLL thread posts a batch's completions before it
+// advances the SQ head, so a full-capacity batch submitted right after
+// the previous one was reaped used to find the SQ still full and abort.
+// The ring now waits for SQ space instead.
+TEST(UringSqpollTest, FullCapacityBatchesBackToBack) {
+  if (!uring::kernel_supports_io_uring()) GTEST_SKIP();
+  TempDir dir;
+  const std::string path = dir.file("data.bin");
+  std::vector<std::uint32_t> data(4096);
+  std::iota(data.begin(), data.end(), 0u);
+  FILE* f = fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  fwrite(data.data(), 4, data.size(), f);
+  fclose(f);
+  const int fd = open(path.c_str(), O_RDONLY);
+  ASSERT_GE(fd, 0);
+
+  BackendConfig config;
+  config.kind = BackendKind::kUringSqpoll;
+  config.queue_depth = 8;
+  auto backend = make_backend(config, fd);
+  if (!backend.is_ok()) {
+    close(fd);
+    GTEST_SKIP() << "SQPOLL not permitted: " << backend.status().to_string();
+  }
+  IoBackend& io = *backend.value();
+  const unsigned cap = io.capacity();
+  std::vector<std::uint32_t> out(cap);
+  std::vector<ReadRequest> batch(cap);
+  for (unsigned round = 0; round < 3000; ++round) {
+    for (unsigned i = 0; i < cap; ++i) {
+      const std::uint64_t idx = (round * 31 + i * 7) % data.size();
+      batch[i] = {idx * 4, 4, &out[i], idx};
+    }
+    ASSERT_TRUE(io.submit(batch).is_ok()) << "round " << round;
+    drain_all(io);
+    for (unsigned i = 0; i < cap; ++i) {
+      ASSERT_EQ(out[i], batch[i].user_data) << "round " << round;
+    }
+  }
+  close(fd);
+}
+
 TEST(IoErrorsTest, MemCountsFaultsAndShortReads) {
   std::vector<unsigned char> bytes(8, 9);
   MemBackend backend(bytes, 8);
