@@ -142,6 +142,7 @@ Result<std::uint16_t> bound_port(int fd) {
 }
 
 struct NetMetrics {
+  NetMetrics() = default;
   obs::Counter accepts;
   obs::Counter requests;
   obs::Counter bytes_rx;
@@ -175,40 +176,39 @@ struct NetMetrics {
   std::array<obs::LatencyHistogram, wire::kNumPriorities> class_queue_wait;
   std::array<obs::LatencyHistogram, wire::kNumPriorities> class_total;
 
-  static const NetMetrics& get() {
-    static const NetMetrics metrics = [] {
-      auto& reg = obs::Registry::global();
-      NetMetrics m;
-      m.accepts = reg.counter("net.accepts");
-      m.requests = reg.counter("net.requests");
-      m.bytes_rx = reg.counter("net.bytes_rx");
-      m.bytes_tx = reg.counter("net.bytes_tx");
-      m.overload_sheds = reg.counter("net.overload_sheds");
-      m.conn_timeouts = reg.counter("net.conn_timeouts");
-      m.malformed = reg.counter("net.malformed");
-      m.socket_faults = reg.counter("net.socket_faults");
-      m.stats_scrapes = reg.counter("net.stats_scrapes");
-      m.conn_rejects = reg.counter("net.conn_rejects");
-      m.deadline_exceeded = reg.counter("net.deadline_exceeded");
-      m.tenant_quota_rejects = reg.counter("net.tenant_quota_rejects");
-      m.brownout_sheds = reg.counter("net.brownout_sheds");
-      m.request_latency = reg.histogram("net.request_latency_ns");
-      m.stage_decode = reg.histogram("net.stage.decode_ns");
-      m.stage_queue_wait = reg.histogram("net.stage.queue_wait_ns");
-      m.stage_sample = reg.histogram("net.stage.sample_ns");
-      m.stage_encode = reg.histogram("net.stage.encode_ns");
-      m.stage_send = reg.histogram("net.stage.send_ns");
-      m.stage_total = reg.histogram("net.stage.total_ns");
-      for (std::size_t c = 0; c < wire::kNumPriorities; ++c) {
-        const std::string prefix =
-            std::string("net.class.") +
-            wire::priority_name(static_cast<wire::Priority>(c));
-        m.class_queue_wait[c] = reg.histogram(prefix + ".queue_wait_ns");
-        m.class_total[c] = reg.histogram(prefix + ".total_ns");
-      }
-      return m;
-    }();
-    return metrics;
+  // Registers every instrument under `prefix` (the handler's name()):
+  // net.* on a sampler shard, router.front.* on the router frontend.
+  // Registration is idempotent by name, so loops of one server share
+  // the same registry slots.
+  explicit NetMetrics(const std::string& prefix) {
+    auto& reg = obs::Registry::global();
+    accepts = reg.counter(prefix + ".accepts");
+    requests = reg.counter(prefix + ".requests");
+    bytes_rx = reg.counter(prefix + ".bytes_rx");
+    bytes_tx = reg.counter(prefix + ".bytes_tx");
+    overload_sheds = reg.counter(prefix + ".overload_sheds");
+    conn_timeouts = reg.counter(prefix + ".conn_timeouts");
+    malformed = reg.counter(prefix + ".malformed");
+    socket_faults = reg.counter(prefix + ".socket_faults");
+    stats_scrapes = reg.counter(prefix + ".stats_scrapes");
+    conn_rejects = reg.counter(prefix + ".conn_rejects");
+    deadline_exceeded = reg.counter(prefix + ".deadline_exceeded");
+    tenant_quota_rejects = reg.counter(prefix + ".tenant_quota_rejects");
+    brownout_sheds = reg.counter(prefix + ".brownout_sheds");
+    request_latency = reg.histogram(prefix + ".request_latency_ns");
+    stage_decode = reg.histogram(prefix + ".stage.decode_ns");
+    stage_queue_wait = reg.histogram(prefix + ".stage.queue_wait_ns");
+    stage_sample = reg.histogram(prefix + ".stage.sample_ns");
+    stage_encode = reg.histogram(prefix + ".stage.encode_ns");
+    stage_send = reg.histogram(prefix + ".stage.send_ns");
+    stage_total = reg.histogram(prefix + ".stage.total_ns");
+    for (std::size_t c = 0; c < wire::kNumPriorities; ++c) {
+      const std::string class_prefix =
+          prefix + ".class." +
+          wire::priority_name(static_cast<wire::Priority>(c));
+      class_queue_wait[c] = reg.histogram(class_prefix + ".queue_wait_ns");
+      class_total[c] = reg.histogram(class_prefix + ".total_ns");
+    }
   }
 };
 
@@ -270,14 +270,59 @@ struct PendingRequest {
   wire::SampleRequest request;
 };
 
+// A sampler shard's handler: sample_for_serving on worker context
+// `index`. The deadline bounds the pipeline's storage waits.
+class SamplerHandler final : public Handler {
+ public:
+  SamplerHandler(core::RingSampler& sampler, std::uint32_t index)
+      : sampler_(sampler), index_(index) {
+    info_.num_nodes = sampler.num_nodes();
+    info_.num_edges = sampler.num_edges();
+    info_.max_batch = sampler.config().batch_size;
+    info_.fanouts = sampler.config().fanouts;
+  }
+
+  const char* name() const override { return "net"; }
+  const wire::InfoResponse& info() const override { return info_; }
+
+  void sample(const wire::SampleRequest& request, std::uint64_t deadline_ns,
+              wire::SampleResponse* response) override {
+    auto result = sampler_.sample_for_serving(
+        index_, request.nodes, request.fanouts, request.rng_seed,
+        deadline_ns);
+    if (result.is_ok()) {
+      response->status = wire::WireStatus::kOk;
+      response->subgraph = std::move(result).value();
+    } else if (deadline_ns != 0 && obs::now_ns() >= deadline_ns) {
+      // The pipeline aborted on the spent budget (kTimedOut).
+      response->status = wire::WireStatus::kDeadlineExceeded;
+    } else if (result.status().code() == ErrorCode::kInvalidArgument) {
+      response->status = wire::WireStatus::kMalformed;
+    } else {
+      response->status = wire::WireStatus::kError;
+      RS_WARN("serving: sampling failed: %s",
+              result.status().to_string().c_str());
+    }
+  }
+
+ private:
+  core::RingSampler& sampler_;
+  const std::uint32_t index_;
+  wire::InfoResponse info_;
+};
+
 }  // namespace
 
-// One event loop == one thread == one ring == one sampler context. All
+// One event loop == one thread == one ring == one handler. All
 // fields are owned by the loop thread; `stats` members are relaxed
 // atomics so Server::stats() can snapshot them live.
 struct Server::Loop {
   Server* server = nullptr;
   std::uint32_t index = 0;
+  std::unique_ptr<Handler> handler;
+  // handler->name(): trace category and metric prefix of this loop.
+  const char* cat = nullptr;
+  NetMetrics metrics;
   int listen_fd = -1;
   uring::Ring ring;            // valid only in uring mode
   bool use_uring = false;
@@ -338,7 +383,7 @@ struct Server::Loop {
     if (fault_rng.uniform_double() >= fault_rate) return false;
     ++faults_injected;
     socket_faults.fetch_add(1, std::memory_order_relaxed);
-    NetMetrics::get().socket_faults.add();
+    metrics.socket_faults.add();
     return true;
   }
 
@@ -356,12 +401,12 @@ struct Server::Loop {
 
   void adopt_connection(int fd, std::uint64_t now) {
     accepts.fetch_add(1, std::memory_order_relaxed);
-    NetMetrics::get().accepts.add();
+    metrics.accepts.add();
     if (free_slots.empty()) {
       // Connection-limit admission gate: accept-then-close so the
       // client sees a crisp EOF instead of a SYN backlog hang.
       conn_rejects.fetch_add(1, std::memory_order_relaxed);
-      NetMetrics::get().conn_rejects.add();
+      metrics.conn_rejects.add();
       ::close(fd);
       return;
     }
@@ -390,7 +435,7 @@ struct Server::Loop {
     conn.queued_bytes_total = 0;
     conn.sent_bytes_total = 0;
     conn.send_markers.clear();
-    obs::trace_instant("net", "accept");
+    obs::trace_instant(cat, "accept");
   }
 
   void begin_close(Conn& conn) {
@@ -410,7 +455,7 @@ struct Server::Loop {
         // Responses that never fully hit the wire: close their async
         // trace tracks so begin/end pairing survives dropped conns.
         for (const SendMarker& marker : conn.send_markers) {
-          obs::trace_async_end("net", "request", marker.trace_id);
+          obs::trace_async_end(cat, "request", marker.trace_id);
         }
         conn.send_markers.clear();
         ::close(conn.fd);
@@ -432,7 +477,7 @@ struct Server::Loop {
       if (conn.in_use && !conn.closing &&
           now - conn.last_activity_ns > limit) {
         conn_timeouts.fetch_add(1, std::memory_order_relaxed);
-        NetMetrics::get().conn_timeouts.add();
+        metrics.conn_timeouts.add();
         begin_close(conn);
       }
     }
@@ -518,7 +563,6 @@ struct Server::Loop {
   void handle_sample_request(Conn& conn, std::uint32_t slot,
                              std::span<const std::uint8_t> body,
                              std::uint16_t version, std::uint64_t now) {
-    const NetMetrics& metrics = NetMetrics::get();
     requests.fetch_add(1, std::memory_order_relaxed);
     metrics.requests.add();
     PendingRequest pending;
@@ -526,7 +570,7 @@ struct Server::Loop {
     pending.recv_ns = now;
     Status decoded = Status::ok();
     {
-      RS_OBS_SPAN("net", "decode");
+      RS_OBS_SPAN(cat, "decode");
       const std::uint64_t t0 = obs::now_ns();
       decoded = wire::decode_sample_request(body, &pending.request, version);
       metrics.stage_decode.record_ns(obs::now_ns() - t0);
@@ -591,9 +635,9 @@ struct Server::Loop {
       // when the response's last byte hits the wire (note_sent). The
       // flow arrow binds this slice to the sampling slice that later
       // picks the request up — possibly many loop iterations away.
-      RS_OBS_SPAN("net", "enqueue");
-      obs::trace_async_begin("net", "request", pending.request.trace_id);
-      obs::trace_flow_begin("net", "request", pending.request.trace_id);
+      RS_OBS_SPAN(cat, "enqueue");
+      obs::trace_async_begin(cat, "request", pending.request.trace_id);
+      obs::trace_flow_begin(cat, "request", pending.request.trace_id);
     }
     queues[static_cast<std::size_t>(cls)].push_back(std::move(pending));
     ++queued_total;
@@ -608,19 +652,13 @@ struct Server::Loop {
     std::uint64_t request_id = 0;
     if (!wire::decode_info_request(body, &request_id).is_ok()) {
       malformed.fetch_add(1, std::memory_order_relaxed);
-      NetMetrics::get().malformed.add();
+      metrics.malformed.add();
       queue_response(conn, 0, wire::WireStatus::kMalformed, version);
       conn.close_after_flush = true;
       return;
     }
-    const core::RingSampler& sampler = *server->sampler_;
-    wire::InfoResponse info;
-    info.num_nodes = sampler.num_nodes();
-    info.num_edges = sampler.num_edges();
-    info.max_batch = sampler.config().batch_size;
-    info.fanouts = sampler.config().fanouts;
     stage_frame(conn, [&](std::vector<std::uint8_t>& out) {
-      wire::encode_info_response(info, out, version);
+      wire::encode_info_response(handler->info(), out, version);
     });
   }
 
@@ -635,12 +673,12 @@ struct Server::Loop {
     std::uint64_t request_id = 0;
     if (!wire::decode_stats_request(body, &request_id).is_ok()) {
       malformed.fetch_add(1, std::memory_order_relaxed);
-      NetMetrics::get().malformed.add();
+      metrics.malformed.add();
       queue_response(conn, 0, wire::WireStatus::kMalformed);
       conn.close_after_flush = true;
       return;
     }
-    NetMetrics::get().stats_scrapes.add();
+    metrics.stats_scrapes.add();
     wire::StatsResponse stats;
     stats.request_id = request_id;
     stats.json = obs::Registry::global().snapshot().to_json();
@@ -660,7 +698,7 @@ struct Server::Loop {
       wire::FrameHeader header;
       if (!wire::decode_frame_header(rest, &header).is_ok()) {
         malformed.fetch_add(1, std::memory_order_relaxed);
-        NetMetrics::get().malformed.add();
+        metrics.malformed.add();
         queue_response(conn, 0, wire::WireStatus::kMalformed);
         conn.close_after_flush = true;
         consumed = conn.rx.size();
@@ -685,7 +723,7 @@ struct Server::Loop {
           // A server only consumes requests; a response frame from a
           // client is a protocol violation.
           malformed.fetch_add(1, std::memory_order_relaxed);
-          NetMetrics::get().malformed.add();
+          metrics.malformed.add();
           queue_response(conn, 0, wire::WireStatus::kMalformed,
                          header.version);
           conn.close_after_flush = true;
@@ -703,13 +741,13 @@ struct Server::Loop {
                          const std::uint8_t* data, std::size_t n,
                          std::uint64_t now) {
     bytes_rx.fetch_add(n, std::memory_order_relaxed);
-    NetMetrics::get().bytes_rx.add(n);
+    metrics.bytes_rx.add(n);
     conn.last_activity_ns = now;
     conn.rx.insert(conn.rx.end(), data, data + n);
     parse_frames(conn, slot, now);
   }
 
-  // Runs every admitted request through the sampler in one pass,
+  // Runs every admitted request through the handler in one pass,
   // dequeuing by class-weighted round robin. The per-request rng_seed
   // makes each response independent of the pass' composition, so
   // coalescing and reordering are invisible to clients (which match by
@@ -718,7 +756,6 @@ struct Server::Loop {
   // that *finishes* past its deadline is answered kDeadlineExceeded
   // too, so an admitted request never completes late with kOk.
   void process_queue() {
-    const NetMetrics& metrics = NetMetrics::get();
     // One WRR rotation per pass. Every response staged in a pass rides
     // the same flush, so ordering *within* a pass is invisible to
     // clients — the weights only become latency once an over-credit
@@ -740,8 +777,8 @@ struct Server::Loop {
       if (!conn.in_use || conn.gen != pending.gen || conn.closing) {
         // Requester hung up while queued: close the request's trace
         // track so begin/end pairing survives dropped requests.
-        obs::trace_flow_end("net", "request", trace_id);
-        obs::trace_async_end("net", "request", trace_id);
+        obs::trace_flow_end(cat, "request", trace_id);
+        obs::trace_async_end(cat, "request", trace_id);
         continue;
       }
       const std::uint64_t pickup_ns = obs::now_ns();
@@ -762,46 +799,36 @@ struct Server::Loop {
         response.status = wire::WireStatus::kDeadlineExceeded;
         deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
         metrics.deadline_exceeded.add();
-        obs::trace_flow_end("net", "request", trace_id);
+        obs::trace_flow_end(cat, "request", trace_id);
       } else {
-        auto result = [&] {
-          RS_OBS_SPAN("net", "sample");
+        {
+          RS_OBS_SPAN(cat, "sample");
           // The flow arrow lands here: enqueue slice -> this slice.
-          obs::trace_flow_end("net", "request", trace_id);
+          obs::trace_flow_end(cat, "request", trace_id);
           const std::uint64_t t0 = obs::now_ns();
-          // The remaining deadline budget bounds the request's storage
-          // waits inside the worker pipeline (expires as kTimedOut).
-          auto sampled = server->sampler_->sample_for_serving(
-              index, pending.request.nodes, pending.request.fanouts,
-              pending.request.rng_seed, pending.deadline_ns);
+          handler->sample(pending.request, pending.deadline_ns, &response);
           sample_ns = obs::now_ns() - t0;
-          return sampled;
-        }();
+        }
         metrics.stage_sample.record_ns(sample_ns);
         response.server_sample_ns = sample_ns;
         if (pending.deadline_ns != 0 &&
             obs::now_ns() >= pending.deadline_ns) {
-          // Budget spent during sampling — whether the pipeline aborted
-          // (kTimedOut) or the result arrived just late, the answer the
-          // client contracted for no longer exists.
+          // Budget spent while the handler ran — whether it aborted or
+          // its answer arrived just late, the answer the client
+          // contracted for no longer exists.
           response.status = wire::WireStatus::kDeadlineExceeded;
+          response.subgraph.layers.clear();
+        }
+        if (response.status == wire::WireStatus::kDeadlineExceeded) {
           deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
           metrics.deadline_exceeded.add();
-        } else if (result.is_ok()) {
-          response.status = wire::WireStatus::kOk;
-          response.subgraph = std::move(result).value();
-        } else if (result.status().code() == ErrorCode::kInvalidArgument) {
-          response.status = wire::WireStatus::kMalformed;
+        } else if (response.status == wire::WireStatus::kMalformed) {
           malformed.fetch_add(1, std::memory_order_relaxed);
           metrics.malformed.add();
-        } else {
-          response.status = wire::WireStatus::kError;
-          RS_WARN("serving: sampling failed: %s",
-                  result.status().to_string().c_str());
         }
       }
       {
-        RS_OBS_SPAN("net", "encode");
+        RS_OBS_SPAN(cat, "encode");
         const std::uint64_t t0 = obs::now_ns();
         stage_frame(conn, [&](std::vector<std::uint8_t>& out) {
           wire::encode_sample_response(response, out, pending.version);
@@ -855,7 +882,6 @@ struct Server::Loop {
   }
 
   void note_sent(Conn& conn, std::size_t n, std::uint64_t now) {
-    const NetMetrics& metrics = NetMetrics::get();
     bytes_tx.fetch_add(n, std::memory_order_relaxed);
     metrics.bytes_tx.add(n);
     conn.tx_off += n;
@@ -872,7 +898,7 @@ struct Server::Loop {
       metrics.stage_total.record_ns(now - marker.recv_ns);
       metrics.class_total[static_cast<std::size_t>(marker.priority)]
           .record_ns(now - marker.recv_ns);
-      obs::trace_async_end("net", "request", marker.trace_id);
+      obs::trace_async_end(cat, "request", marker.trace_id);
     }
     if (conn.close_after_flush && !stage_tx(conn)) {
       begin_close(conn);
@@ -972,7 +998,7 @@ struct Server::Loop {
     // ring, so it alone flushes RingStats deltas into the registry
     // (io.uring.* globals + io.net.loop.enter_calls) — once per loop
     // iteration for live scraping and once after the drain for the tail.
-    io::RingStatsExporter ring_stats_exporter("net.loop");
+    io::RingStatsExporter ring_stats_exporter(std::string(cat) + ".loop");
     std::array<uring::Cqe, 64> cqes;
     while (!stop_requested()) {
       arm_uring();
@@ -1123,7 +1149,7 @@ struct Server::Loop {
     // lifetime shows as one slice under which every per-request slice
     // nests; scripts/rs_lint.py's span-balance rule keeps the pairing
     // honest.
-    obs::trace_span_begin("net", "loop");
+    obs::trace_span_begin(cat, "loop");
     if (use_uring) {
       run_uring();
     } else {
@@ -1134,31 +1160,44 @@ struct Server::Loop {
     for (auto& class_queue : queues) {
       for (const PendingRequest& pending : class_queue) {
         release_tenant(pending.request.tenant_id);
-        obs::trace_flow_end("net", "request", pending.request.trace_id);
-        obs::trace_async_end("net", "request", pending.request.trace_id);
+        obs::trace_flow_end(cat, "request", pending.request.trace_id);
+        obs::trace_async_end(cat, "request", pending.request.trace_id);
       }
       class_queue.clear();
     }
     queued_total = 0;
-    obs::trace_span_end("net", "loop");
+    obs::trace_span_end(cat, "loop");
   }
 };
 
 Result<std::unique_ptr<Server>> Server::start(core::RingSampler& sampler,
                                               const ServerOptions& options) {
+  if (options.threads > sampler.config().num_threads) {
+    return Status::invalid(
+        "net: server threads exceed sampler worker contexts");
+  }
+  std::vector<std::unique_ptr<Handler>> handlers;
+  for (std::uint32_t t = 0; t < options.threads; ++t) {
+    handlers.push_back(std::make_unique<SamplerHandler>(sampler, t));
+  }
+  return start(std::move(handlers), options);
+}
+
+Result<std::unique_ptr<Server>> Server::start(
+    std::vector<std::unique_ptr<Handler>> handlers,
+    const ServerOptions& options) {
   auto server = std::unique_ptr<Server>(new Server());
-  RS_RETURN_IF_ERROR(server->init(sampler, options));
+  RS_RETURN_IF_ERROR(server->init(std::move(handlers), options));
   return server;
 }
 
-Status Server::init(core::RingSampler& sampler,
+Status Server::init(std::vector<std::unique_ptr<Handler>> handlers,
                     const ServerOptions& options) {
   if (options.threads == 0) {
     return Status::invalid("net: threads must be > 0");
   }
-  if (options.threads > sampler.config().num_threads) {
-    return Status::invalid(
-        "net: server threads exceed sampler worker contexts");
+  if (handlers.size() != options.threads) {
+    return Status::invalid("net: need exactly one handler per thread");
   }
   if (options.max_connections == 0 || options.max_queue_depth == 0) {
     return Status::invalid(
@@ -1168,7 +1207,6 @@ Status Server::init(core::RingSampler& sampler,
     return Status::invalid(
         "net: brownout_high_pct must be <= brownout_critical_pct");
   }
-  sampler_ = &sampler;
   options_ = options;
   if (options.tenant_quota > 0) {
     tenants_ = std::make_unique<TenantLedger>(options.tenant_quota);
@@ -1194,6 +1232,9 @@ Status Server::init(core::RingSampler& sampler,
     auto loop = std::make_unique<Loop>();
     loop->server = this;
     loop->index = t;
+    loop->handler = std::move(handlers[t]);
+    loop->cat = loop->handler->name();
+    loop->metrics = NetMetrics(loop->cat);
     loop->use_uring = using_uring_;
     RS_ASSIGN_OR_RETURN(loop->listen_fd, make_listen_socket(port));
     if (t == 0) {
@@ -1224,7 +1265,7 @@ Status Server::init(core::RingSampler& sampler,
   for (auto& loop : loops_) {
     threads_.emplace_back([raw = loop.get()] { raw->run(); });
   }
-  RS_INFO("net: serving on port %u (%s, %u threads)", port_,
+  RS_INFO("%s: serving on port %u (%s, %u threads)", loops_[0]->cat, port_,
           using_uring_ ? "io_uring" : "psync", options_.threads);
   return Status::ok();
 }

@@ -4,8 +4,9 @@
 // Architecture mirrors the sampler's share-nothing threading: each
 // server thread owns one event loop — a private io_uring ring, a
 // SO_REUSEPORT listening socket, a fixed slab of connection slots, and
-// sampler worker context `t` — so accepted connections never migrate
-// and no lock sits on the request path. Accept, recv, send, and the
+// a request handler (on a sampler shard: worker context `t`) — so
+// accepted connections never migrate and no lock sits on the request
+// path. Accept, recv, send, and the
 // batching/idle tick are all SQEs multiplexed on the *same* ring the
 // sampler's disk reads use, which is the point: one completion loop
 // drives both the network edge and storage.
@@ -37,6 +38,13 @@
 // brownout ladder keyed on queue occupancy degrades gracefully under
 // sustained overload: shed best-effort arrivals first, then bulk, then
 // collapse the batch window so the queue drains at minimum latency.
+//
+// Request handlers: the loops own the wire, admission and QoS; what a
+// decoded request *means* is a per-loop Handler. A sampler shard's
+// handler runs sample_for_serving on its worker context; the router
+// frontend's handler routes the request over the shard tier
+// (router/frontend.h). Each loop calls only its own handler, from its
+// own thread, so handlers need no locking.
 #pragma once
 
 #include <array>
@@ -55,8 +63,9 @@ namespace rs::net {
 struct ServerOptions {
   // TCP port to listen on; 0 picks an ephemeral port (query port()).
   std::uint16_t port = 0;
-  // Event-loop threads. Thread t serves with sampler worker context t,
-  // so this must be <= the sampler's configured num_threads.
+  // Event-loop threads. Serving a sampler, thread t uses worker
+  // context t, so this must be <= the sampler's num_threads; serving
+  // handlers, it must equal their count.
   std::uint32_t threads = 1;
   // Per-thread connection slots; connections beyond this are accepted
   // and closed immediately (the client sees EOF, not a hang).
@@ -95,7 +104,8 @@ struct ServerOptions {
   std::uint32_t brownout_critical_pct = 90;
 };
 
-// Aggregated across loops; also exported as net.* obs counters.
+// Aggregated across loops; also exported as <name>.* obs counters
+// (net.* on a sampler shard).
 struct ServerStats {
   std::uint64_t accepts = 0;
   std::uint64_t requests = 0;        // sample requests received
@@ -119,6 +129,33 @@ struct ServerStats {
   std::uint64_t brownout_sheds = 0;
 };
 
+// One loop's request handler. The loop decodes and admits a request,
+// computes its absolute deadline and drops it if that passed while it
+// was queued; the handler answers what survives.
+class Handler {
+ public:
+  Handler() = default;
+  virtual ~Handler() = default;
+  Handler(const Handler&) = delete;
+  Handler& operator=(const Handler&) = delete;
+
+  // Prefix of the loop's metric names and its trace category: "net"
+  // for a sampler shard. Must be a string literal, because trace events
+  // keep the pointer.
+  virtual const char* name() const = 0;
+
+  // What kInfoRequest answers.
+  virtual const wire::InfoResponse& info() const = 0;
+
+  // Sets response->status and, on kOk, response->subgraph. deadline_ns
+  // is the absolute obs::now_ns() deadline fixed at admission (0 =
+  // none); it bounds the handler's waits. kMalformed means the request
+  // was semantically invalid.
+  virtual void sample(const wire::SampleRequest& request,
+                      std::uint64_t deadline_ns,
+                      wire::SampleResponse* response) = 0;
+};
+
 class Server {
  public:
   // Binds, spawns the event-loop threads, and returns once the service
@@ -127,6 +164,11 @@ class Server {
   // server's lifetime (don't run epochs concurrently).
   static Result<std::unique_ptr<Server>> start(core::RingSampler& sampler,
                                                const ServerOptions& options);
+  // Runs one loop per handler; options.threads must equal
+  // handlers.size().
+  static Result<std::unique_ptr<Server>> start(
+      std::vector<std::unique_ptr<Handler>> handlers,
+      const ServerOptions& options);
 
   ~Server();
   Server(const Server&) = delete;
@@ -147,9 +189,9 @@ class Server {
 
  private:
   Server() = default;
-  Status init(core::RingSampler& sampler, const ServerOptions& options);
+  Status init(std::vector<std::unique_ptr<Handler>> handlers,
+              const ServerOptions& options);
 
-  core::RingSampler* sampler_ = nullptr;
   ServerOptions options_;
   std::uint16_t port_ = 0;
   bool using_uring_ = false;

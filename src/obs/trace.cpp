@@ -3,7 +3,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -106,45 +109,100 @@ void record_event(const char* cat, const char* name, std::uint64_t start_ns,
   event.has_id = has_id;
 }
 
+struct KeptEvent {
+  TraceEvent event;
+  std::uint32_t tid = 0;
+};
+
+// A wrapped ring lost its oldest events, and with them the opening half
+// of some pairs still in it: an 'E' whose 'B' is gone, an async or flow
+// id whose begin is gone. Viewers and scripts/check_trace_json.py reject
+// those, so after a wrap every async/flow id that no longer pairs is
+// left out whole ('B'/'E' orphans are skipped while copying).
+void drop_unpaired_ids(std::vector<KeptEvent>& events) {
+  struct Pairing {
+    int begins = 0;
+    int ends = 0;
+  };
+  auto key = [](const TraceEvent& e) {
+    const bool flow = e.phase == 's' || e.phase == 't' || e.phase == 'f';
+    return std::make_tuple(std::string(e.cat), e.id, flow);
+  };
+  std::map<std::tuple<std::string, std::uint64_t, bool>, Pairing> pairing;
+  for (const KeptEvent& kept : events) {
+    const TraceEvent& e = kept.event;
+    if (!e.has_id) continue;
+    Pairing& p = pairing[key(e)];
+    if (e.phase == 'b' || e.phase == 's') ++p.begins;
+    if (e.phase == 'e' || e.phase == 'f') ++p.ends;
+  }
+  std::erase_if(events, [&](const KeptEvent& kept) {
+    if (!kept.event.has_id) return false;
+    const Pairing& p = pairing[key(kept.event)];
+    return p.begins == 0 || p.begins != p.ends;
+  });
+}
+
+// Every ring's events, oldest first, with *dropped counting overwrites.
+std::vector<KeptEvent> collect_events(TraceState& st, std::uint64_t* dropped)
+    RS_REQUIRES(st.mutex) {
+  std::vector<KeptEvent> events;
+  *dropped = 0;
+  for (const auto& buffer : st.buffers) {
+    MutexLock buffer_lock(buffer->mutex);
+    const std::size_t capacity = buffer->events.size();
+    const bool wrapped = buffer->recorded > capacity;
+    const std::size_t kept =
+        wrapped ? capacity : static_cast<std::size_t>(buffer->recorded);
+    const std::size_t oldest =
+        wrapped ? static_cast<std::size_t>(buffer->recorded % capacity) : 0;
+    if (wrapped) *dropped += buffer->recorded - capacity;
+    std::size_t open_spans = 0;
+    for (std::size_t i = 0; i < kept; ++i) {
+      const TraceEvent& event = buffer->events[(oldest + i) % capacity];
+      if (event.phase == 'B') ++open_spans;
+      if (event.phase == 'E') {
+        if (wrapped && open_spans == 0) continue;  // its 'B' was overwritten
+        if (open_spans > 0) --open_spans;
+      }
+      events.push_back({event, buffer->tid});
+    }
+  }
+  if (*dropped > 0) drop_unpaired_ids(events);
+  return events;
+}
+
 Status write_json(TraceState& st, const std::string& path)
     RS_REQUIRES(st.mutex) {
+  std::uint64_t dropped = 0;
+  const std::vector<KeptEvent> events = collect_events(st, &dropped);
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return Status::from_errno("open " + path);
   std::fputs("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", f);
   bool first = true;
-  std::uint64_t dropped = 0;
-  for (const auto& buffer : st.buffers) {
-    MutexLock buffer_lock(buffer->mutex);
-    const std::size_t capacity = buffer->events.size();
-    const std::size_t kept =
-        static_cast<std::size_t>(std::min<std::uint64_t>(buffer->recorded,
-                                                         capacity));
-    if (buffer->recorded > capacity) dropped += buffer->recorded - capacity;
-    for (std::size_t i = 0; i < kept; ++i) {
-      const TraceEvent& event = buffer->events[i];
-      if (!first) std::fputc(',', f);
-      first = false;
-      std::fprintf(f,
-                   "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%c\","
-                   "\"pid\":1,\"tid\":%u,\"ts\":%.3f",
-                   event.name, event.cat, event.phase, buffer->tid,
-                   static_cast<double>(event.ts_ns) / 1e3);
-      if (event.phase == 'X') {
-        std::fprintf(f, ",\"dur\":%.3f",
-                     static_cast<double>(event.dur_ns) / 1e3);
-      }
-      if (event.has_id) {
-        std::fprintf(f, ",\"id\":\"0x%llx\"",
-                     static_cast<unsigned long long>(event.id));
-        // A flow-end binds to the enclosing slice's end, not its start.
-        if (event.phase == 'f') std::fputs(",\"bp\":\"e\"", f);
-      }
-      if (event.arg_name != nullptr) {
-        std::fprintf(f, ",\"args\":{\"%s\":%lld}", event.arg_name,
-                     static_cast<long long>(event.arg));
-      }
-      std::fputc('}', f);
+  for (const auto& [event, tid] : events) {
+    if (!first) std::fputc(',', f);
+    first = false;
+    std::fprintf(f,
+                 "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%c\","
+                 "\"pid\":1,\"tid\":%u,\"ts\":%.3f",
+                 event.name, event.cat, event.phase, tid,
+                 static_cast<double>(event.ts_ns) / 1e3);
+    if (event.phase == 'X') {
+      std::fprintf(f, ",\"dur\":%.3f",
+                   static_cast<double>(event.dur_ns) / 1e3);
     }
+    if (event.has_id) {
+      std::fprintf(f, ",\"id\":\"0x%llx\"",
+                   static_cast<unsigned long long>(event.id));
+      // A flow-end binds to the enclosing slice's end, not its start.
+      if (event.phase == 'f') std::fputs(",\"bp\":\"e\"", f);
+    }
+    if (event.arg_name != nullptr) {
+      std::fprintf(f, ",\"args\":{\"%s\":%lld}", event.arg_name,
+                   static_cast<long long>(event.arg));
+    }
+    std::fputc('}', f);
   }
   std::fputs("]}", f);
   if (std::fclose(f) != 0) return Status::from_errno("close " + path);

@@ -1,205 +1,36 @@
 #include "router/frontend.h"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
+#include <algorithm>
+#include <thread>
 #include <utility>
-
-#include "net/channel.h"
-#include "net/wire.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include <vector>
 
 namespace rs::router {
-namespace {
-
-using net::Channel;
-namespace wire = net::wire;
-
-constexpr std::uint32_t kAcceptPollMs = 200;
-// Idle read slices between stop-flag checks on connection threads.
-constexpr std::uint64_t kReadSliceNs = 500'000'000;
-
-Result<int> make_listen_socket(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return Status::from_errno("frontend: socket");
-  const int one = 1;
-  if (::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) < 0) {
-    const Status status = Status::from_errno("frontend: setsockopt");
-    ::close(fd);
-    return status;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = INADDR_ANY;
-  addr.sin_port = wire::host_to_be16(port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    const Status status = Status::from_errno("frontend: bind");
-    ::close(fd);
-    return status;
-  }
-  if (::listen(fd, 128) < 0) {
-    const Status status = Status::from_errno("frontend: listen");
-    ::close(fd);
-    return status;
-  }
-  return fd;
-}
-
-Result<std::uint16_t> bound_port(int fd) {
-  sockaddr_in addr{};
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
-    return Status::from_errno("frontend: getsockname");
-  }
-  // sin_port is big-endian; host_to_be16 is its own inverse.
-  return wire::host_to_be16(addr.sin_port);
-}
-
-}  // namespace
 
 Result<std::unique_ptr<Frontend>> Frontend::start(
     const FrontendOptions& options) {
-  RS_ASSIGN_OR_RETURN(std::unique_ptr<Router> router,
-                      Router::create(options.router));
   std::unique_ptr<Frontend> frontend(new Frontend());
-  frontend->router_ = std::move(router);
-  frontend->options_ = options;
-  RS_ASSIGN_OR_RETURN(frontend->listen_fd_,
-                      make_listen_socket(options.port));
-  RS_ASSIGN_OR_RETURN(frontend->port_, bound_port(frontend->listen_fd_));
-  frontend->acceptor_ =
-      std::thread([f = frontend.get()] { f->accept_loop(); });
+  RS_ASSIGN_OR_RETURN(frontend->router_, Router::create(options.router));
+  net::ServerOptions server;
+  server.port = options.port;
+  server.threads = std::max(
+      1u, std::min(std::thread::hardware_concurrency(),
+                   options.max_connections));
+  server.max_connections = options.max_connections / server.threads +
+                           (options.max_connections % server.threads != 0);
+  std::vector<std::unique_ptr<net::Handler>> handlers;
+  for (std::uint32_t t = 0; t < server.threads; ++t) {
+    handlers.push_back(std::make_unique<RouterSession>(*frontend->router_));
+  }
+  RS_ASSIGN_OR_RETURN(frontend->server_,
+                      net::Server::start(std::move(handlers), server));
   return frontend;
 }
 
 Frontend::~Frontend() { stop(); }
 
 void Frontend::stop() {
-  if (stopped_) return;
-  stopped_ = true;
-  stop_flag_.store(true, std::memory_order_release);
-  if (acceptor_.joinable()) acceptor_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  std::vector<std::thread> connections;
-  {
-    MutexLock lock(mutex_);
-    connections.swap(connections_);
-  }
-  for (std::thread& t : connections) {
-    if (t.joinable()) t.join();
-  }
-}
-
-void Frontend::accept_loop() {
-  while (!stop_flag_.load(std::memory_order_acquire)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, static_cast<int>(kAcceptPollMs));
-    if (ready < 0 && errno != EINTR) break;
-    if (ready <= 0) continue;
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) continue;
-    if (active_connections_.load(std::memory_order_relaxed) >=
-        options_.max_connections) {
-      // Accept-then-close, like net::Server's gate: the client sees a
-      // crisp EOF instead of a SYN backlog hang.
-      ::close(fd);
-      continue;
-    }
-    const int one = 1;
-    // rs-lint: allow(void-discard) TCP_NODELAY is best-effort tuning
-    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    active_connections_.fetch_add(1, std::memory_order_relaxed);
-    MutexLock lock(mutex_);
-    connections_.emplace_back([this, fd] { serve_connection(fd); });
-  }
-}
-
-void Frontend::serve_connection(int fd) {
-  Channel channel = Channel::adopt(fd);
-  RouterSession session(*router_);
-  std::vector<std::uint8_t> frame;
-
-  bool close_connection = false;
-  while (!close_connection &&
-         !stop_flag_.load(std::memory_order_acquire)) {
-    wire::FrameHeader header;
-    std::vector<std::uint8_t> body;
-    const Status read =
-        channel.read_frame(&header, &body, obs::now_ns() + kReadSliceNs);
-    if (!read.is_ok()) {
-      if (read.code() == ErrorCode::kTimedOut) continue;  // idle slice
-      break;  // EOF, hangup, or an untrustworthy header
-    }
-
-    switch (header.kind) {
-      case wire::FrameKind::kSampleRequest: {
-        wire::SampleRequest request;
-        wire::SampleResponse response;
-        if (!wire::decode_sample_request(body, &request, header.version)
-                 .is_ok()) {
-          // Structurally malformed: answer (best-effort id echo) and
-          // close — the stream can't be trusted past a bad body.
-          response.request_id =
-              body.size() >= 8 ? wire::load_le64(body.data()) : 0;
-          response.trace_id = response.request_id;
-          response.status = wire::WireStatus::kMalformed;
-          router_->metrics().malformed.add();
-          close_connection = true;
-        } else if (!session.sample(request, &response).is_ok()) {
-          // Internal routing failure with no wire shape of its own.
-          response.request_id = request.request_id;
-          response.trace_id = request.trace_id;
-          response.status = wire::WireStatus::kError;
-          response.subgraph.layers.clear();
-        }
-        frame.clear();
-        wire::encode_sample_response(response, frame, header.version);
-        if (!channel.send(frame).is_ok()) close_connection = true;
-        break;
-      }
-      case wire::FrameKind::kInfoRequest: {
-        std::uint64_t request_id = 0;
-        if (!wire::decode_info_request(body, &request_id).is_ok()) {
-          close_connection = true;
-          break;
-        }
-        frame.clear();
-        wire::encode_info_response(router_->info(), frame, header.version);
-        if (!channel.send(frame).is_ok()) close_connection = true;
-        break;
-      }
-      case wire::FrameKind::kStatsRequest: {
-        std::uint64_t request_id = 0;
-        if (!wire::decode_stats_request(body, &request_id).is_ok()) {
-          close_connection = true;
-          break;
-        }
-        wire::StatsResponse stats;
-        stats.request_id = request_id;
-        stats.json = obs::Registry::global().snapshot().to_json();
-        frame.clear();
-        wire::encode_stats_response(stats, frame);
-        if (!channel.send(frame).is_ok()) close_connection = true;
-        break;
-      }
-      default:
-        // Response kinds arriving at a server: protocol violation.
-        close_connection = true;
-        break;
-    }
-  }
-
-  channel.close();
-  active_connections_.fetch_sub(1, std::memory_order_relaxed);
+  if (server_ != nullptr) server_->stop();
 }
 
 }  // namespace rs::router

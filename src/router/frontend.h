@@ -1,50 +1,43 @@
 // Frontend: the TCP face of the sharded serving tier.
 //
-// Accepts client connections on one port and speaks the same v3 wire
-// protocol net::Server does, so every existing client — net::Client,
-// bench/svc_load, the eval harness — points at a router frontend
-// unchanged. Each connection gets a thread driving a private
-// RouterSession (scatter/gather needs blocking multi-connection I/O per
-// request, which maps naturally onto a thread per client; frontends
-// carry few fat client connections, unlike shards that carry many).
-//
-// Frame handling mirrors the single server's contract:
-//   * kSampleRequest — routed (RouterSession::sample), response echoes
-//     the request's wire version and trace id;
-//   * kInfoRequest   — answered with the router's merged info, so load
-//     generators discover the graph exactly as they would from a shard;
-//   * kStatsRequest  — answered with the global metrics registry JSON
-//     (the router.* counters live there), so svc_load's
-//     --server-stats-json scrapes the tier front door;
-//   * structurally malformed frames get kMalformed and a close;
-//     semantically invalid sample requests get kMalformed and the
-//     connection survives.
+// A Router plus a net::Server whose loops run router handlers: each
+// loop owns one RouterSession and answers
+//   * kSampleRequest — routed (RouterSession::sample) under the
+//     deadline the loop fixed at admission;
+//   * kInfoRequest   — the router's merged info, so load generators
+//     discover the graph exactly as they would from a shard;
+//   * kStatsRequest  — the global metrics registry JSON (router.* lives
+//     there), so svc_load's --server-stats-json scrapes the front door.
+// Everything else is net::Server's: malformed-frame poisoning,
+// connection and queue-depth admission, QoS classes and deadline drop
+// at dequeue, stage histograms, request trace tracks and the
+// uring/psync ladder. The loops register their metrics and trace
+// category as router.front.* so they never mix with a shard's net.*
+// in one process. A loop serves one routed request at a time.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <thread>
-#include <vector>
 
+#include "net/server.h"
 #include "router/router.h"
 #include "util/status.h"
-#include "util/sync.h"
 
 namespace rs::router {
 
 struct FrontendOptions {
   // TCP port to listen on; 0 picks an ephemeral port (query port()).
   std::uint16_t port = 0;
-  // Concurrent client connections; excess accepts are closed
-  // immediately (the client sees EOF, same as net::Server's gate).
+  // Concurrent client connections, split evenly over the serving loops
+  // (min(hardware threads, max_connections) of them); excess accepts
+  // are closed immediately (the client sees EOF).
   std::uint32_t max_connections = 64;
   RouterOptions router;
 };
 
 class Frontend {
  public:
-  // Builds the Router (probing every shard) and starts accepting.
+  // Builds the Router (probing every shard) and starts the loops.
   static Result<std::unique_ptr<Frontend>> start(
       const FrontendOptions& options);
 
@@ -52,29 +45,18 @@ class Frontend {
   Frontend(const Frontend&) = delete;
   Frontend& operator=(const Frontend&) = delete;
 
-  // Stops accepting, closes the listener, joins every connection
-  // thread. Idempotent.
+  // Stops the loops and closes their connections. Idempotent.
   void stop();
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return server_->port(); }
   const Router& router() const { return *router_; }
 
  private:
   Frontend() = default;
 
-  void accept_loop();
-  void serve_connection(int fd);
-
+  // Declared first so the loops (and their sessions) go before it.
   std::unique_ptr<Router> router_;
-  FrontendOptions options_;
-  std::uint16_t port_ = 0;
-  int listen_fd_ = -1;
-  std::atomic<bool> stop_flag_{false};
-  bool stopped_ = false;
-  std::atomic<std::uint32_t> active_connections_{0};
-  std::thread acceptor_;
-  Mutex mutex_;
-  std::vector<std::thread> connections_ RS_GUARDED_BY(mutex_);
+  std::unique_ptr<net::Server> server_;
 };
 
 }  // namespace rs::router

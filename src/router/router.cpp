@@ -236,13 +236,11 @@ net::Channel* RouterSession::channel(std::uint32_t shard,
   return &ch;
 }
 
-Status RouterSession::run_hop(const net::wire::SampleRequest& request,
-                              std::uint32_t layer,
-                              const std::vector<NodeId>& frontier,
-                              std::uint64_t deadline_abs_ns, HopResult* out,
-                              net::wire::WireStatus* shed) {
+net::wire::WireStatus RouterSession::run_hop(
+    const net::wire::SampleRequest& request, std::uint32_t layer,
+    const std::vector<NodeId>& frontier, std::uint64_t deadline_abs_ns,
+    HopResult* out) {
   using net::wire::WireStatus;
-  *shed = WireStatus::kOk;
   const Router::Metrics& m = router_.metrics();
   const RouterOptions& opt = router_.options();
   RS_OBS_SPAN("router", "hop", "layer", layer);
@@ -375,13 +373,11 @@ Status RouterSession::run_hop(const net::wire::SampleRequest& request,
     const std::uint64_t now_ns = obs::now_ns();
     if (deadline_abs_ns != 0 && now_ns >= deadline_abs_ns) {
       end_open_flows();
-      *shed = WireStatus::kDeadlineExceeded;
-      return Status::ok();
+      return WireStatus::kDeadlineExceeded;
     }
     if (hard_deadline_ns != 0 && now_ns >= hard_deadline_ns) {
       end_open_flows();
-      *shed = WireStatus::kError;
-      return Status::ok();
+      return WireStatus::kError;
     }
 
     // Scatter, bounded by the per-shard window.
@@ -392,8 +388,7 @@ Status RouterSession::run_hop(const net::wire::SampleRequest& request,
       }
       if (!try_send(f, 0, kNoReplica)) {
         end_open_flows();
-        *shed = WireStatus::kError;
-        return Status::ok();
+        return WireStatus::kError;
       }
       m.subrequests.add();
       ++inflight_per_shard[f.sub.shard];
@@ -472,9 +467,11 @@ Status RouterSession::run_hop(const net::wire::SampleRequest& request,
         }
       }
     }
-    RS_RETURN_IF_ERROR(
-        net::poll_channels(poll_set, static_cast<std::uint32_t>(wait_ms))
-            .status());
+    if (!net::poll_channels(poll_set, static_cast<std::uint32_t>(wait_ms))
+             .is_ok()) {
+      end_open_flows();
+      return WireStatus::kError;
+    }
 
     // Gather: pop every buffered frame, then handle connection death.
     for (std::size_t c = 0; c < poll_set.size(); ++c) {
@@ -514,8 +511,7 @@ Status RouterSession::run_hop(const net::wire::SampleRequest& request,
             // The shard answered a different request than we sent —
             // config skew, not a transient. Fail the whole request.
             end_open_flows();
-            *shed = WireStatus::kError;
-            return Status::ok();
+            return WireStatus::kError;
           }
           router_.health().record_success(tag_shard, tag_replica);
           if (tag_replica == f.hedge_replica) m.hedges_won.add();
@@ -526,8 +522,7 @@ Status RouterSession::run_hop(const net::wire::SampleRequest& request,
         }
         if (resp.status == WireStatus::kDeadlineExceeded) {
           end_open_flows();
-          *shed = WireStatus::kDeadlineExceeded;
-          return Status::ok();
+          return WireStatus::kDeadlineExceeded;
         }
         if (resp.status == WireStatus::kOverloaded ||
             resp.status == WireStatus::kError) {
@@ -541,8 +536,7 @@ Status RouterSession::run_hop(const net::wire::SampleRequest& request,
                                        .size()),
                         tag_replica)) {
             end_open_flows();
-            *shed = resp.status;
-            return Status::ok();
+            return resp.status;
           }
           m.retries.add();
           continue;
@@ -550,8 +544,7 @@ Status RouterSession::run_hop(const net::wire::SampleRequest& request,
         // kMalformed: the shard rejected a sub-request the router
         // believed valid — advertised-info skew. Not retryable.
         end_open_flows();
-        *shed = WireStatus::kError;
-        return Status::ok();
+        return WireStatus::kError;
       }
 
       if (ch->open()) continue;
@@ -573,8 +566,7 @@ Status RouterSession::run_hop(const net::wire::SampleRequest& request,
         if (f.sends >= max_sends_per_sub ||
             !try_send(f, tag_replica + 1, tag_replica)) {
           end_open_flows();
-          *shed = WireStatus::kError;
-          return Status::ok();
+          return WireStatus::kError;
         }
       }
     }
@@ -606,24 +598,19 @@ Status RouterSession::run_hop(const net::wire::SampleRequest& request,
   }
 
   m.hop_ns.record_ns(obs::now_ns() - hop_start_ns);
-  return Status::ok();
+  return WireStatus::kOk;
 }
 
-Status RouterSession::sample(const net::wire::SampleRequest& request,
-                             net::wire::SampleResponse* response) {
+void RouterSession::sample(const net::wire::SampleRequest& request,
+                           std::uint64_t deadline_abs_ns,
+                           net::wire::SampleResponse* response) {
   using net::wire::WireStatus;
   const Router::Metrics& m = router_.metrics();
   m.requests.add();
   RS_OBS_SPAN("router", "sample", "nodes",
               static_cast<std::uint64_t>(request.nodes.size()));
   const std::uint64_t start_ns = obs::now_ns();
-
-  response->request_id = request.request_id;
-  response->trace_id = request.trace_id;
-  response->status = WireStatus::kOk;
   response->subgraph.layers.clear();
-  response->server_queue_ns = 0;
-  response->server_sample_ns = 0;
 
   // Semantic validation against the merged advertised info — the same
   // rules sample_for_serving applies, evaluated at the front door so a
@@ -653,11 +640,8 @@ Status RouterSession::sample(const net::wire::SampleRequest& request,
   if (!valid) {
     response->status = WireStatus::kMalformed;
     m.malformed.add();
-    return Status::ok();
+    return;
   }
-
-  const std::uint64_t deadline_abs_ns =
-      request.deadline_ns == 0 ? 0 : start_ns + request.deadline_ns;
 
   std::vector<NodeId> frontier(request.nodes.begin(), request.nodes.end());
   std::vector<core::LayerSample> layers;
@@ -665,8 +649,7 @@ Status RouterSession::sample(const net::wire::SampleRequest& request,
   for (std::uint32_t l = 0; l < request.fanouts.size(); ++l) {
     if (frontier.empty()) break;  // mirrors the unsharded early-exit
     HopResult hop;
-    RS_RETURN_IF_ERROR(
-        run_hop(request, l, frontier, deadline_abs_ns, &hop, &shed));
+    shed = run_hop(request, l, frontier, deadline_abs_ns, &hop);
     if (shed != WireStatus::kOk) break;
     if (l + 1 < request.fanouts.size()) {
       // Next frontier: sorted unique neighbors, exactly
@@ -679,20 +662,15 @@ Status RouterSession::sample(const net::wire::SampleRequest& request,
     layers.push_back(std::move(hop.layer));
   }
 
-  if (shed != WireStatus::kOk) {
-    response->status = shed;
-    response->subgraph.layers.clear();
-    if (shed == WireStatus::kDeadlineExceeded) {
-      m.deadline_exceeded.add();
-    } else if (shed == WireStatus::kError) {
-      m.errors.add();
-    }
-  } else {
+  response->status = shed;
+  if (shed == WireStatus::kOk) {
     response->subgraph.layers = std::move(layers);
+  } else if (shed == WireStatus::kDeadlineExceeded) {
+    m.deadline_exceeded.add();
+  } else if (shed == WireStatus::kError) {
+    m.errors.add();
   }
-  response->server_sample_ns = obs::now_ns() - start_ns;
-  m.sample_ns.record_ns(response->server_sample_ns);
-  return Status::ok();
+  m.sample_ns.record_ns(obs::now_ns() - start_ns);
 }
 
 }  // namespace rs::router

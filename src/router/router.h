@@ -28,16 +28,18 @@
 //     answer wins (router.hedges_won counts wins by the hedge copy);
 //   * health — consecutive failures eject a replica; a half-open probe
 //     re-admits it after a cooldown (see router/health.h);
-//   * deadlines — a v3 deadline budget is decremented by elapsed router
-//     time and propagated to every sub-request; an expired budget (or a
+//   * deadlines — a v3 deadline budget starts when the frontend admits
+//     the request, so frontend queue wait spends it too; what is left
+//     is propagated to every sub-request, and an expired budget (or a
 //     shard's kDeadlineExceeded answer) aborts the request with
 //     kDeadlineExceeded.
 //
 // Threading: Router is the shared, immutable-after-create picture (shard
 // map, ring, merged info, health tracker, metrics). Each frontend
-// connection drives its own RouterSession, which owns private per-
-// replica Channels — so the data path is share-nothing and only health
-// bookkeeping takes a lock.
+// serving loop (a net::Server loop, see router/frontend.h) runs its own
+// RouterSession as its handler; a session owns private per-replica
+// Channels — so the
+// data path is share-nothing and only health bookkeeping takes a lock.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +47,7 @@
 #include <vector>
 
 #include "net/channel.h"
+#include "net/server.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "router/hash_ring.h"
@@ -121,29 +124,41 @@ class Router {
   Metrics metrics_;
 };
 
-// One frontend connection's routing state: lazily-connected private
-// Channels to every (shard, replica). NOT thread-safe; create one per
-// connection thread.
-class RouterSession {
+// One serving loop's routing state and request handler: lazily-
+// connected private Channels to every (shard, replica). NOT thread-safe;
+// create one per loop.
+class RouterSession final : public net::Handler {
  public:
   explicit RouterSession(Router& router);
 
-  // Routes one k-hop request end to end. Always produces a response
-  // (shed statuses are responses, not errors); a non-OK Status means
-  // the router itself failed in a way that has no wire representation
-  // (it never does today — kept for interface symmetry).
-  Status sample(const net::wire::SampleRequest& request,
-                net::wire::SampleResponse* response);
+  // The frontend loops' metric prefix and trace category, apart from a
+  // co-located shard's net.*.
+  const char* name() const override { return "router.front"; }
+  const net::wire::InfoResponse& info() const override {
+    return router_.info();
+  }
+
+  // Routes one k-hop request end to end: sets response->status and, on
+  // kOk, response->subgraph. deadline_abs_ns is the absolute
+  // obs::now_ns() deadline (0 = none); each sub-request carries what is
+  // left of it, and the request sheds with kDeadlineExceeded once it
+  // is spent.
+  void sample(const net::wire::SampleRequest& request,
+              std::uint64_t deadline_abs_ns,
+              net::wire::SampleResponse* response) override;
 
  private:
   struct SubRequest;
   struct Flight;
   struct HopResult;
 
-  Status run_hop(const net::wire::SampleRequest& request, std::uint32_t layer,
-                 const std::vector<NodeId>& frontier,
-                 std::uint64_t deadline_abs_ns, HopResult* out,
-                 net::wire::WireStatus* shed);
+  // Scatters and gathers one hop; returns kOk or the status that sheds
+  // the whole request.
+  net::wire::WireStatus run_hop(const net::wire::SampleRequest& request,
+                                std::uint32_t layer,
+                                const std::vector<NodeId>& frontier,
+                                std::uint64_t deadline_abs_ns,
+                                HopResult* out);
 
   // The channel for (shard, replica), connecting if needed. Returns
   // null (and records a health failure) when the connect fails.

@@ -107,6 +107,33 @@ TEST_F(TraceTest, RingBoundsEventCount) {
   EXPECT_NE(json.find("\"i\":99"), std::string::npos);
 }
 
+TEST_F(TraceTest, WrappedRingWritesOldestFirstAndDropsOrphanedHalves) {
+  const std::string path = dir_.file("trace.json");
+  test::assert_ok(trace_start(path, /*events_per_thread=*/8));
+  trace_span_begin("t", "loop");
+  trace_async_begin("t", "request", 100);
+  for (int i = 0; i < 7; ++i) {
+    RS_OBS_SPAN("t", "work", "i", i);
+  }
+  trace_async_begin("t", "request", 200);
+  trace_async_end("t", "request", 200);
+  trace_async_end("t", "request", 100);
+  trace_span_end("t", "loop");
+  test::assert_ok(trace_stop());
+
+  // The ring kept the last 8 of 13 events: spans i=3..6, request 200's
+  // pair, and the ends of request 100 and the loop, whose openers were
+  // overwritten. Those two are left out; the rest is written in order.
+  const std::string json = slurp(path);
+  EXPECT_EQ(json.find("\"ph\":\"E\""), std::string::npos);
+  EXPECT_EQ(json.find("\"id\":\"0x64\""), std::string::npos);
+  EXPECT_NE(json.find("\"id\":\"0xc8\""), std::string::npos);
+  EXPECT_EQ(json.find("\"i\":2}"), std::string::npos);
+  ASSERT_NE(json.find("\"i\":3}"), std::string::npos);
+  EXPECT_LT(json.find("\"i\":3}"), json.find("\"i\":6}"));
+  EXPECT_LT(json.find("\"i\":6}"), json.find("\"ph\":\"b\""));
+}
+
 TEST_F(TraceTest, RestartAfterStopRecordsFresh) {
   test::assert_ok(trace_start(dir_.file("first.json")));
   { RS_OBS_SPAN("t", "old_span"); }
